@@ -51,6 +51,7 @@ from .dynamics import (
     SpectralReport,
     Trajectory,
     build_consensus_matrix,
+    consensus_spectrum,
     convergence_time,
     hitting_times,
     markov_report,
@@ -67,6 +68,7 @@ from .experiments import (
     MetricsRecord,
     SummaryRow,
     SweepConfig,
+    measure,
     read_records_csv,
     run_sweep,
     summarize,

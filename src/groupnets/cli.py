@@ -12,23 +12,17 @@ import json
 import sys
 from dataclasses import replace
 
-from .dynamics import (
-    NoiseModel,
-    build_consensus_matrix,
-    convergence_time,
-    markov_report,
-    second_eigenvalue_modulus,
-    spectral_radius,
-)
+from .dynamics import NoiseModel
 from .experiments import (
     METRIC_FIELDS,
     SweepConfig,
+    measure,
     read_records_csv,
     run_sweep,
     write_records_csv,
 )
 from .generators import MODALITIES, ModalityParams, generate
-from .graphs import GraphDocument, structural_summary, write_edge_list
+from .graphs import GraphDocument, write_edge_list
 from .regression import build_design, fit_ols, fit_to_json_dict, format_fit_table
 from .svgplot import PlotSpec, plot_file
 
@@ -69,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--in", dest="input", required=True, help="JSON graph document")
     p_met.add_argument("--out", default=None, help="output JSON (default stdout)")
     p_met.add_argument("--heavy-max-n", type=int, default=600,
-                       help="skip hitting-time metrics above this size (default 600)")
+                       help="skip delta_ss above this node count (default 600)")
     p_met.set_defaults(func=_cmd_metrics)
 
     p_sweep = sub.add_parser("sweep", help="run a Monte-Carlo sweep to CSV")
@@ -116,26 +110,13 @@ def _cmd_gen(args) -> None:
 def _cmd_metrics(args) -> None:
     doc = GraphDocument.read(args.input)
     g = doc.to_graph()
-    summary = structural_summary(g)
-    lam = spectral_radius(g.to_csr())
-    sys_ = build_consensus_matrix(g)
-    rho2 = second_eigenvalue_modulus(sys_)
     payload = {
         "modality": doc.modality,
         "seed": doc.seed,
         "n_actual": g.n,
         "group_count": len(doc.groups),
-        "avg_shortest_path": summary.average_shortest_path,
-        "avg_degree": summary.average_degree,
-        "density": summary.density,
-        "clustering": summary.average_clustering,
-        "lambda_max": lam,
-        "rho2": rho2,
-        "tau_asym": convergence_time(rho2),
-        "delta_ss": None,
+        **measure(g, NoiseModel(1.0), g.n <= args.heavy_max_n),
     }
-    if g.n <= args.heavy_max_n:
-        payload["delta_ss"] = markov_report(sys_, NoiseModel(1.0)).delta_ss
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

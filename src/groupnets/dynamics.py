@@ -7,7 +7,9 @@ balance, so ``W`` is similar to the symmetric ``S = D_pi^1/2 W D_pi^-1/2``
 and the whole spectrum is real.  Propagation growth rates come from the
 dominant adjacency eigenvalue; consensus convergence from the second
 largest eigenvalue modulus of ``W``; the steady-state disagreement under
-noise from the Kemeny-Snell fundamental matrix and hitting times.
+noise from the eigenpairs of ``S``.  The Kemeny-Snell fundamental matrix
+and hitting times (``hitting_times``) give the same disagreement densely
+and serve as its reference.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .graphs import Graph, is_connected
 
@@ -31,6 +34,7 @@ __all__ = [
     "build_consensus_matrix",
     "spectral_radius",
     "second_eigenvalue_modulus",
+    "consensus_spectrum",
     "convergence_time",
     "propagation_growth_rates",
     "spectral_report",
@@ -42,14 +46,15 @@ __all__ = [
     "simulate_hitting_time",
 ]
 
-_MAX_POWER_ITER = 100_000
-# Below this size the deflated power iteration is cheap and avoids ARPACK
-# small-problem restrictions; above it Lanczos handles clustered spectra.
-_LANCZOS_MIN_N = 33
+# Largest n at which rho2 alone comes from a dense eigvalsh of S; above it
+# a Lanczos solve on the sparse S is faster (the two tie near n = 800 with
+# one BLAS thread).  delta_ss needs every eigenpair, so it always takes the
+# dense path.
+_DENSE_MAX_N = 800
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative eigenvalue computation hit its iteration limit."""
+    """An eigenvalue solver (LAPACK or ARPACK) failed to converge."""
 
 
 class ConditioningError(RuntimeError):
@@ -147,12 +152,6 @@ def build_consensus_matrix(g: Graph) -> ConsensusSystem:
     return ConsensusSystem(W=W, pi=pi)
 
 
-def _power_start(n: int) -> np.ndarray:
-    # all-ones plus an index-dependent perturbation; deterministic and
-    # never orthogonal to the positive dominant eigenvector
-    return 1.0 + 1e-6 * (np.arange(n) + 1.0)
-
-
 def _deflated_start(n: int) -> np.ndarray:
     # the deflated iteration needs a start that is generic with respect
     # to graph symmetries (second eigenvectors are often antisymmetric,
@@ -161,13 +160,12 @@ def _deflated_start(n: int) -> np.ndarray:
     return np.random.default_rng(0x5EED).standard_normal(n)
 
 
-def spectral_radius(a, tol: float = 1e-10, max_iter: int = _MAX_POWER_ITER) -> float:
-    """Dominant eigenvalue of a symmetric nonnegative matrix by power iteration.
+def spectral_radius(a) -> float:
+    """Dominant eigenvalue of a symmetric nonnegative matrix.
 
-    Iterates on ``A + I`` so that graphs with symmetric spectra
-    (bipartite adjacency) still have a strictly dominant eigenvalue; the
-    Rayleigh quotient of ``A`` is reported.  Accepts dense arrays or
-    scipy sparse matrices.
+    Accepts dense arrays or scipy sparse matrices and solves with ARPACK's
+    Lanczos iteration, started from the all-ones vector (never orthogonal
+    to the nonnegative dominant eigenvector) so results are deterministic.
     """
     if sp.issparse(a):
         a = a.tocsr()
@@ -187,109 +185,83 @@ def spectral_radius(a, tol: float = 1e-10, max_iter: int = _MAX_POWER_ITER) -> f
             raise ValueError("matrix must be symmetric")
     if n == 0:
         raise ValueError("empty matrix")
-    x = _power_start(n)
-    x /= np.linalg.norm(x)
-    lam = None
-    prev_change = None
-    for _ in range(max_iter):
-        z = a @ x
-        est = float(x @ z)
-        y = z + x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        x = y / ny
-        if lam is not None:
-            change = est - lam
-            if abs(change) <= tol * max(1.0, abs(est)):
-                # geometric-tail (Aitken) correction sharpens the estimate
-                # when eigenvalues cluster and convergence is slow
-                if prev_change is not None and 0.0 < abs(change) < abs(prev_change):
-                    q = change / prev_change
-                    if abs(q) < 1.0:
-                        est += change * q / (1.0 - q)
-                return est
-            prev_change = change
-        lam = est
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} iterations")
+    top = a.max()
+    # ARPACK needs n >= 2, and the zero matrix maps its start to zero
+    if n == 1 or top == 0.0:
+        return float(top)
+    try:
+        vals = eigsh(a, k=1, which="LA", v0=np.ones(n), return_eigenvectors=False)
+    except ArpackError as exc:
+        raise ConvergenceError(f"Lanczos iteration failed: {exc}") from exc
+    return float(vals[0])
 
 
-def _deflated_operator(sys: ConsensusSystem) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Sparse symmetrized matrix S and its dominant eigenvector sqrt(pi)."""
-    v1 = np.sqrt(sys.pi)
-    S = v1[:, None] * sys.W / v1[None, :]
-    resid = np.abs(S - S.T).max()
-    if resid > 1e-10:
-        raise ValueError(f"symmetrization residual {resid:.2e}; system is not reversible")
-    S = (S + S.T) / 2.0
-    return sp.csr_matrix(S), v1
+def _rho2_and_delta(
+    S: sp.csr_matrix, pi: np.ndarray, sigma2: np.ndarray | None
+) -> tuple[float, float | None]:
+    """rho2 of the symmetrized chain S and, given noise variances, delta_ss.
+
+    With eigenpairs (lambda_k, u_k) of S, lambda_1 = 1 and u_1 = sqrt(pi),
+    the fundamental matrix has Z_jj - pi_j = sum_{k>=2} u_kj^2 / (1 - lambda_k),
+    so delta_ss = sum_j pi_j sigma2_j (Z_jj - pi_j) needs no n-by-n Z or H
+    (Levin, Peres and Wilmer, Markov Chains and Mixing Times, spectral
+    representation of reversible chains).
+    """
+    n = S.shape[0]
+    if sigma2 is None and n > _DENSE_MAX_N:
+        v1 = np.sqrt(pi)
+        op = LinearOperator(
+            (n, n), matvec=lambda x: S @ x - v1 * (v1 @ x), dtype=np.float64
+        )
+        v0 = _deflated_start(n)
+        v0 -= v1 * (v1 @ v0)
+        try:
+            vals = eigsh(op, k=1, which="LM", tol=1e-10, v0=v0, return_eigenvectors=False)
+        except ArpackError as exc:
+            raise ConvergenceError(f"Lanczos iteration failed: {exc}") from exc
+        return float(abs(vals[0])), None
+    try:
+        if sigma2 is None:
+            lam = scipy.linalg.eigvalsh(S.toarray(), driver="evd")
+        else:
+            lam, U = scipy.linalg.eigh(S.toarray(), driver="evd")
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigendecomposition failed: {exc}") from exc
+    # the ascending spectrum ends with the Perron eigenvalue 1
+    rho2 = float(max(lam[-2], -lam[0])) if n > 1 else 0.0
+    if sigma2 is None:
+        return rho2, None
+    excess = U[:, :-1] ** 2 @ (1.0 / (1.0 - lam[:-1]))
+    return rho2, float(pi * sigma2 @ excess)
 
 
-def second_eigenvalue_modulus(sys: ConsensusSystem, tol: float = 1e-10) -> float:
+def second_eigenvalue_modulus(sys: ConsensusSystem) -> float:
     """Second largest eigenvalue modulus of W.
 
-    Works on the symmetrized similar matrix, removing the known dominant
-    eigenvector sqrt(pi) by exact deflation and taking the dominant
-    modulus of what remains.  Small systems use a norm-ratio power
-    iteration; larger ones a Lanczos solve on the deflated operator.
+    Works on the symmetrized similar matrix S: a dense eigendecomposition
+    up to ``_DENSE_MAX_N`` nodes, above it a Lanczos solve with the known
+    dominant eigenvector sqrt(pi) deflated.
     """
-    n = sys.n
-    if n == 1:
-        return 0.0
-    S, v1 = _deflated_operator(sys)
+    v1 = np.sqrt(sys.pi)
+    S = v1[:, None] * sys.W / v1[None, :]
+    return _rho2_and_delta(sp.csr_matrix((S + S.T) / 2.0), sys.pi, None)[0]
 
-    if n < _LANCZOS_MIN_N:
-        x = _deflated_start(n)
-        x -= v1 * (v1 @ x)
-        nx = np.linalg.norm(x)
-        if nx < 1e-13:
-            return 0.0
-        x /= nx
-        rho = None
-        prev_change = None
-        for _ in range(_MAX_POWER_ITER):
-            z = S @ x
-            z -= v1 * (v1 @ z)
-            nz = float(np.linalg.norm(z))
-            # the norm ratio tracks the dominant modulus even when
-            # +rho and -rho eigenvalues coexist
-            if nz < 1e-14:
-                return 0.0
-            x = z / nz
-            if rho is not None:
-                change = nz - rho
-                if abs(change) <= 1e-14 + 1e-12 * nz:
-                    est = nz
-                    if prev_change is not None and 0.0 < abs(change) < abs(prev_change):
-                        q = change / prev_change
-                        if abs(q) < 1.0:
-                            est += change * q / (1.0 - q)
-                    return float(min(est, 1.0))
-                prev_change = change
-            rho = nz
-        raise ConvergenceError(f"deflated power iteration did not converge (n={n})")
 
-    def matvec(vec):
-        w = S @ vec
-        w -= v1 * (v1 @ w)
-        return w
+def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float, float | None]:
+    """rho2 of a connected graph's averaging matrix and, given noise, delta_ss.
 
-    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    v0 = _deflated_start(n)
-    v0 -= v1 * (v1 @ v0)
-    try:
-        vals = eigsh(
-            op,
-            k=1,
-            which="LM",
-            tol=tol,
-            v0=v0,
-            maxiter=_MAX_POWER_ITER,
-            return_eigenvectors=False,
-        )
-    except (ArpackNoConvergence, ArpackError) as exc:
-        raise ConvergenceError(f"Lanczos iteration failed: {exc}") from exc
-    return float(min(abs(vals[0]), 1.0))
+    Builds S = (D+I)^-1/2 (A+I) (D+I)^-1/2, the symmetrized W, sparse from
+    the adjacency with no dense W; delta_ss is None without ``noise``.
+    """
+    if not is_connected(g):
+        raise ValueError("consensus metrics require a connected graph (irreducibility)")
+    n = g.n
+    S = g.to_csr() + sp.identity(n, format="csr")
+    d1 = np.diff(S.indptr)  # row i of A + I holds d_i + 1 ones
+    # the exact integer product d1_i d1_j keeps S exactly symmetric
+    S.data = 1.0 / np.sqrt(d1[np.repeat(np.arange(n), d1)] * d1[S.indices])
+    sigma2 = None if noise is None else noise.variances(n)
+    return _rho2_and_delta(S, d1 / d1.sum(), sigma2)
 
 
 def convergence_time(rho2: float) -> float:
@@ -318,9 +290,8 @@ def propagation_growth_rates(
 
 def spectral_report(g: Graph, beta: float = 1.0, gamma: float = 1.0) -> SpectralReport:
     """All spectral metrics of a connected graph in one record."""
+    rho2, _ = consensus_spectrum(g)
     lam = spectral_radius(g.to_csr())
-    sys = build_consensus_matrix(g)
-    rho2 = second_eigenvalue_modulus(sys)
     si, sis = propagation_growth_rates(lam, beta, gamma)
     return SpectralReport(
         lambda_max=lam,

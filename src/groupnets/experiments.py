@@ -3,9 +3,11 @@
 A sweep walks the grid (modality, size, replication) in lexicographic
 order, derives one independent random stream per cell by hashing
 ``(master_seed, modality, size, rep)``, and records every metric as one
-CSV row.  Output is a pure function of the configuration: the same
-config produces byte-identical CSV whether run serially or on a worker
-pool.
+CSV row.  Output is a pure function of the configuration: at a fixed BLAS
+thread count the same config produces byte-identical CSV whether run
+serially or on a worker pool.  Across thread counts the solver results
+move in their last digits, ``delta_ss`` and ``tau_asym`` by up to
+about 1e-11 relative.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ from typing import Iterable
 from .dynamics import (
     ConvergenceError,
     NoiseModel,
-    build_consensus_matrix,
+    consensus_spectrum,
     convergence_time,
-    markov_report,
-    second_eigenvalue_modulus,
     spectral_radius,
 )
 from .generators import MODALITIES, GenerationError, ModalityParams, generate
-from .graphs import structural_summary
+from .graphs import Graph, structural_summary
 
 __all__ = [
     "SweepConfig",
@@ -37,6 +37,7 @@ __all__ = [
     "METRIC_FIELDS",
     "CSV_FIELDS",
     "replication_seed",
+    "measure",
     "compute_record",
     "run_sweep",
     "summarize",
@@ -73,8 +74,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("sizes must be nonempty")
-        if list(self.sizes) != sorted(self.sizes):
-            raise ValueError("sizes must be sorted ascending")
+        if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
+            raise ValueError("sizes must be strictly ascending")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         unknown = [m for m in self.modalities if m not in MODALITIES]
@@ -163,43 +164,52 @@ def replication_seed(master_seed: int, modality: str, size: int, rep: int) -> in
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") >> 1
 
 
+def measure(g: Graph, noise: NoiseModel, with_delta: bool) -> dict[str, float | None]:
+    """The ``METRIC_FIELDS`` of a connected graph; delta_ss is None unless ``with_delta``.
+
+    Raises ValueError on a disconnected graph before any other work.
+    """
+    # consensus_spectrum checks connectivity first, so it runs first
+    rho2, delta = consensus_spectrum(g, noise if with_delta else None)
+    summary = structural_summary(g)
+    return {
+        "avg_shortest_path": summary.average_shortest_path,
+        "avg_degree": summary.average_degree,
+        "density": summary.density,
+        "clustering": summary.average_clustering,
+        "lambda_max": spectral_radius(g.to_csr()),
+        "rho2": rho2,
+        "tau_asym": convergence_time(rho2),
+        "delta_ss": delta,
+    }
+
+
 def compute_record(
     modality: str,
     size: int,
     rep: int,
     cfg: SweepConfig,
 ) -> MetricsRecord:
-    """Generate one graph and measure it; failures yield a bare record."""
+    """Generate one graph and measure it; failures yield a bare record.
+
+    delta_ss is computed when the requested size is at most
+    ``heavy_metrics_max_n``, so every replication of a cell gets it.
+    """
     seed = replication_seed(cfg.master_seed, modality, size, rep)
     try:
         mg = generate(modality, size, cfg.params, seed)
-        g = mg.graph
-        summary = structural_summary(g)
-        lam = spectral_radius(g.to_csr())
-        sys = build_consensus_matrix(g)
-        rho2 = second_eigenvalue_modulus(sys)
-        tau = convergence_time(rho2)
-        delta = None
-        if g.n <= cfg.heavy_metrics_max_n:
-            delta = markov_report(sys, cfg.noise).delta_ss
-        return MetricsRecord(
-            modality=modality,
-            n_requested=size,
-            seed=seed,
-            n_actual=g.n,
-            group_count=mg.group_count,
-            avg_shortest_path=summary.average_shortest_path,
-            avg_degree=summary.average_degree,
-            density=summary.density,
-            clustering=summary.average_clustering,
-            lambda_max=lam,
-            rho2=rho2,
-            tau_asym=tau,
-            delta_ss=delta,
-        )
+        metrics = measure(mg.graph, cfg.noise, size <= cfg.heavy_metrics_max_n)
     except (GenerationError, ConvergenceError):
         # keep replication counts honest: record the failure, never resample
         return MetricsRecord(modality=modality, n_requested=size, seed=seed)
+    return MetricsRecord(
+        modality=modality,
+        n_requested=size,
+        seed=seed,
+        n_actual=mg.graph.n,
+        group_count=mg.group_count,
+        **metrics,
+    )
 
 
 def _worker(task: tuple) -> MetricsRecord:

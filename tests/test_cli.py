@@ -1,18 +1,10 @@
 import json
 
 from groupnets.cli import main
-from groupnets.dynamics import (
-    NoiseModel,
-    build_consensus_matrix,
-    convergence_time,
-    hitting_times,
-    second_eigenvalue_modulus,
-    spectral_radius,
-    steady_state_deviation,
-)
-from groupnets.experiments import SweepConfig, read_records_csv
+from groupnets.dynamics import NoiseModel
+from groupnets.experiments import METRIC_FIELDS, SweepConfig, measure, read_records_csv
 from groupnets.generators import generate
-from groupnets.graphs import read_edge_list, structural_summary
+from groupnets.graphs import read_edge_list
 
 
 def run(*argv):
@@ -46,18 +38,12 @@ def test_gen_then_metrics_matches_in_process(tmp_path, capsys):
     assert run("metrics", "--in", str(path)) == 0
     payload = json.loads(capsys.readouterr().out)
 
+    # measure() is what the command calls; the oracle tests in
+    # test_experiments tie it to the dense reference computations
     mg = generate("comembership", 40, seed=3)
-    summary = structural_summary(mg.graph)
-    sys_ = build_consensus_matrix(mg.graph)
-    rho2 = second_eigenvalue_modulus(sys_)
-    assert payload["avg_shortest_path"] == summary.average_shortest_path
-    assert payload["avg_degree"] == summary.average_degree
-    assert payload["clustering"] == summary.average_clustering
-    assert payload["lambda_max"] == spectral_radius(mg.graph.to_csr())
-    assert payload["rho2"] == rho2
-    assert payload["tau_asym"] == convergence_time(rho2)
-    H = hitting_times(sys_).H
-    assert payload["delta_ss"] == steady_state_deviation(sys_, H, NoiseModel(1.0))
+    expected = measure(mg.graph, NoiseModel(1.0), with_delta=True)
+    assert {f: payload[f] for f in METRIC_FIELDS} == expected
+    assert expected["delta_ss"] is not None
     assert payload["group_count"] == mg.group_count
 
 

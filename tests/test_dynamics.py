@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from groupnets import dynamics
 from groupnets.dynamics import (
     ConsensusSystem,
+    ConvergenceError,
     NoiseModel,
     build_consensus_matrix,
     convergence_time,
@@ -94,6 +98,27 @@ def test_spectral_radius_closed_forms():
     assert spectral_radius(np.zeros((1, 1))) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_spectral_radius_near_degenerate_top():
+    # the top two adjacency eigenvalues are 6.55532 and 6.55409; a power
+    # iteration stopped on a small step overstated its accuracy here
+    a = generate("liaison", 50, seed=7985145763100456188).graph.to_csr()
+    assert a.shape == (57, 57)
+    ref = float(scipy.linalg.eigvalsh(a.toarray())[-1])
+    assert spectral_radius(a) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_solver_failures_raise_convergence_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("injected", np.empty(0), np.empty(0))
+
+    monkeypatch.setattr(dynamics, "eigsh", no_convergence)
+    with pytest.raises(ConvergenceError):
+        spectral_radius(PATH3.to_csr())
+    monkeypatch.setattr(dynamics, "_DENSE_MAX_N", 0)
+    with pytest.raises(ConvergenceError):
+        second_eigenvalue_modulus(build_consensus_matrix(PATH3))
+
+
 def test_spectral_radius_validation():
     with pytest.raises(ValueError):
         spectral_radius(np.array([[0.0, 1.0], [0.5, 0.0]]))
@@ -120,7 +145,8 @@ def test_eigen_oracle_small_graphs():
         assert abs(second_eigenvalue_modulus(sys) - brute_rho2(sys)) < 1e-8
 
 
-def test_eigen_oracle_lanczos_branch():
+def test_eigen_oracle_lanczos_branch(monkeypatch):
+    monkeypatch.setattr(dynamics, "_DENSE_MAX_N", 50)
     rng = np.random.default_rng(2)
     for _ in range(15):
         g = random_connected(rng, 100, p=0.08)

@@ -1,21 +1,30 @@
 import math
 
+import numpy as np
 import pytest
+import scipy.linalg
 
-from groupnets import experiments
-from groupnets.dynamics import NoiseModel
+from groupnets import dynamics, experiments
+from groupnets.dynamics import (
+    NoiseModel,
+    build_consensus_matrix,
+    hitting_times,
+    steady_state_deviation,
+)
 from groupnets.experiments import (
     CSV_FIELDS,
     METRIC_FIELDS,
     MetricsRecord,
     SweepConfig,
+    compute_record,
+    measure,
     read_records_csv,
     replication_seed,
     run_sweep,
     summarize,
     write_records_csv,
 )
-from groupnets.generators import GenerationError, ModalityParams
+from groupnets.generators import MODALITIES, GenerationError, ModalityParams, generate
 
 
 SMALL = SweepConfig(sizes=(20, 40), replications=2, master_seed=5)
@@ -26,6 +35,8 @@ def test_config_validation():
         SweepConfig(sizes=(), replications=1)
     with pytest.raises(ValueError):
         SweepConfig(sizes=(40, 20), replications=1)
+    with pytest.raises(ValueError):
+        SweepConfig(sizes=(20, 20), replications=1)
     with pytest.raises(ValueError):
         SweepConfig(sizes=(20,), replications=0)
     with pytest.raises(ValueError):
@@ -105,6 +116,67 @@ def test_heavy_metric_gate():
     records = run_sweep(cfg)
     assert all(r.delta_ss is None for r in records)
     assert all(r.rho2 is not None for r in records)
+
+
+def test_heavy_metric_gate_uses_requested_size():
+    # liaison graphs requested at n = 515 have about 580-615 nodes; the cap
+    # of 600 applies to the requested size, so no replication loses delta_ss
+    cfg = SweepConfig(sizes=(515,), replications=12, modalities=("liaison",))
+    records = run_sweep(cfg)
+    assert max(r.n_actual for r in records) > cfg.heavy_metrics_max_n
+    assert all(r.delta_ss is not None for r in records)
+
+
+def _brute_rho2(sys):
+    s = np.sqrt(sys.pi)
+    S = s[:, None] * sys.W / s[None, :]
+    ev = scipy.linalg.eigvalsh((S + S.T) / 2)
+    return max(ev[-2], -ev[0])
+
+
+def test_measure_matches_dense_oracles(monkeypatch):
+    # delta_ss against the Kemeny-Snell hitting-time form, rho2 against a
+    # brute-force eigvalsh, on both sides of the dense/Lanczos size switch;
+    # the absolute floor covers a rho2 of exactly 0 (complete graphs)
+    rng = np.random.default_rng(8)
+    for trial in range(120):
+        modality = MODALITIES[trial % 4]
+        g = generate(modality, int(rng.integers(3, 121)), seed=int(rng.integers(1 << 30))).graph
+        sys = build_consensus_matrix(g)
+        if trial % 2:
+            noise = NoiseModel(tuple(float(v) for v in rng.uniform(0.1, 3.0, g.n)))
+        else:
+            noise = NoiseModel(float(rng.uniform(0.1, 3.0)))
+        ref_delta = steady_state_deviation(sys, hitting_times(sys).H, noise)
+        ref_rho2 = _brute_rho2(sys)
+        got = measure(g, noise, with_delta=True)
+        assert got["delta_ss"] == pytest.approx(ref_delta, rel=1e-9, abs=0.0)
+        assert got["rho2"] == pytest.approx(ref_rho2, rel=1e-9, abs=1e-12)
+        for dense_max_n in (g.n, g.n - 1):
+            monkeypatch.setattr(dynamics, "_DENSE_MAX_N", dense_max_n)
+            got = measure(g, noise, with_delta=False)
+            assert got["delta_ss"] is None
+            assert got["rho2"] == pytest.approx(ref_rho2, rel=1e-9, abs=1e-12)
+
+
+def test_lanczos_rho2_above_dense_max_n():
+    g = generate("bridge", dynamics._DENSE_MAX_N + 50, seed=1).graph
+    got = measure(g, NoiseModel(1.0), with_delta=False)
+    assert got["rho2"] == pytest.approx(_brute_rho2(build_consensus_matrix(g)), rel=1e-9)
+
+
+def test_eigensolver_failure_gives_bare_record(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    cfg = SweepConfig(sizes=(20,), replications=2, modalities=("bridge",))
+    record = compute_record("bridge", 20, 0, cfg)
+    assert record.n_actual is None
+    assert all(getattr(record, m) is None for m in METRIC_FIELDS)
+    records = run_sweep(cfg)
+    assert len(records) == 2
+    assert all(r.n_actual is None for r in records)
 
 
 def test_failure_rows(monkeypatch, tmp_path):
