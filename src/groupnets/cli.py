@@ -23,6 +23,7 @@ from .experiments import (
 )
 from .generators import MODALITIES, ModalityParams, generate
 from .graphs import GraphDocument, write_edge_list
+from .partition import MIN_POPULATION
 from .regression import build_design, fit_ols, fit_to_json_dict, format_fit_table
 from .svgplot import PlotSpec, plot_file
 
@@ -40,6 +41,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
+def _population(text: str) -> int:
+    n = int(text)
+    if n < MIN_POPULATION:
+        raise argparse.ArgumentTypeError(f"must be at least {MIN_POPULATION}, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="groupnets",
@@ -49,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate one graph and write it to a file")
     p_gen.add_argument("--modality", required=True, choices=MODALITIES)
-    p_gen.add_argument("--n", required=True, type=int, help="number of group members")
+    p_gen.add_argument("--n", required=True, type=_population, help="number of group members")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--eps", type=float, default=0.1,
                        help="intra-group edge absence probability (default 0.1)")

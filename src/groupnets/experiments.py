@@ -16,7 +16,8 @@ import csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Real
 from statistics import mean, stdev
 from typing import Iterable
 
@@ -29,6 +30,7 @@ from .dynamics import (
 )
 from .generators import MODALITIES, GenerationError, ModalityParams, generate
 from .graphs import Graph, structural_summary
+from .partition import MIN_POPULATION
 
 __all__ = [
     "SweepConfig",
@@ -76,6 +78,8 @@ class SweepConfig:
             raise ValueError("sizes must be nonempty")
         if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("sizes must be strictly ascending")
+        if self.sizes[0] < MIN_POPULATION:
+            raise ValueError(f"sizes must be at least {MIN_POPULATION}, got {self.sizes[0]}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         unknown = [m for m in self.modalities if m not in MODALITIES]
@@ -83,6 +87,9 @@ class SweepConfig:
             raise ValueError(f"unknown modalities: {unknown}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
+        if not isinstance(self.noise.sigma2, Real):
+            # n_actual differs between records (liaison adds nodes)
+            raise ValueError("a sweep takes one scalar noise variance, not per-node values")
 
     def to_json_text(self) -> str:
         payload = {
@@ -105,6 +112,15 @@ class SweepConfig:
     def from_json_text(cls, text: str) -> "SweepConfig":
         payload = json.loads(text)
         params = payload.get("params", {})
+        noise = payload.get("noise", {})
+        for where, section, known in (
+            ("config", payload, cls),
+            ("params", params, ModalityParams),
+            ("noise", noise, NoiseModel),
+        ):
+            unknown = sorted(set(section) - {f.name for f in fields(known)})
+            if unknown:
+                raise ValueError(f"unknown {where} keys: {unknown}")
         branching = params.get("branching_pmf")
         kwargs = {}
         if "epsilon" in params:
@@ -115,7 +131,6 @@ class SweepConfig:
             kwargs["comember_inclusion"] = float(params["comember_inclusion"])
         if branching:
             kwargs["branching_pmf"] = {int(k): float(v) for k, v in branching.items()}
-        noise = payload.get("noise", {})
         sigma2 = noise.get("sigma2", 1.0)
         return cls(
             sizes=tuple(int(s) for s in payload["sizes"]),

@@ -113,21 +113,13 @@ class GroupTree:
             raise ValueError("group_count must be at least 1")
         if len(self.tree_edges) != k - 1:
             raise ValueError(f"a tree on {k} groups needs {k - 1} edges")
-        parent = list(range(k))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for i, j in self.tree_edges:
             if not (0 <= i < k and 0 <= j < k) or i == j:
                 raise ValueError(f"invalid tree edge ({i}, {j})")
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                raise ValueError("tree edges contain a cycle")
-            parent[ri] = rj
+        # k - 1 edges span k groups exactly when they form no cycle
+        e = np.array(list(self.tree_edges), dtype=np.int64).reshape(-1, 2)
+        if not _connected(k, e[:, 0], e[:, 1]):
+            raise ValueError("tree edges contain a cycle")
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.tree_edges)
@@ -175,7 +167,7 @@ class MultiGroupGraph:
             member_lists[gi].append(v)
         return GraphDocument(
             n=self.graph.n,
-            edges=self.graph.edges,
+            edges=tuple(map(tuple, self.graph.edges.tolist())),
             groups=tuple(tuple(sorted(m)) for m in member_lists),
             liaisons=tuple(sorted(self.liaison_nodes)),
             modality=self.modality,
@@ -184,6 +176,8 @@ class MultiGroupGraph:
 
 
 def _connected(size: int, us: np.ndarray, vs: np.ndarray) -> bool:
+    # a union-find: on the small blocks of the rejection loop it costs a
+    # tenth of csgraph.connected_components
     parent = list(range(size))
 
     def find(x: int) -> int:
@@ -227,8 +221,7 @@ def er_block(size: int, epsilon: float, rng: np.random.Generator) -> Graph:
         raise ValueError("block size must be positive")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
-    edges = _er_block_edges(size, epsilon, rng)
-    return Graph(size, [(int(u), int(v)) for u, v in edges])
+    return Graph(size, _er_block_edges(size, epsilon, rng))
 
 
 def uniform_spanning_tree(k: int, rng: np.random.Generator) -> GroupTree:
@@ -272,17 +265,21 @@ def _scaffold(
     rng: np.random.Generator,
     size_spec: PowerLawSpec | None,
 ):
-    """Shared first phase: sizes, per-group node ranges, block edges."""
+    """Shared first phase: sizes, per-group node ranges, block edge arrays."""
     seq = sample_group_sizes(n, rng, size_spec)
     groups: list[tuple[int, ...]] = []
-    edges: list[tuple[int, int]] = []
+    edges: list[np.ndarray] = []
     offset = 0
     for s in seq.sizes:
-        block = _er_block_edges(s, params.epsilon, rng)
-        edges.extend((int(u) + offset, int(v) + offset) for u, v in block)
+        edges.append(_er_block_edges(s, params.epsilon, rng) + offset)
         groups.append(tuple(range(offset, offset + s)))
         offset += s
     return seq, tuple(groups), edges
+
+
+def _concat(parts: list) -> np.ndarray:
+    """One ``(m, 2)`` edge array from edge arrays and lists of pairs."""
+    return np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in parts])
 
 
 def _draw_anchors(
@@ -313,10 +310,10 @@ def gen_bridge(
     """Subgroups joined by exactly one cross edge per spanning-tree edge."""
     seq, groups, edges = _scaffold(n, params, rng, size_spec)
     tree = uniform_spanning_tree(len(seq), rng)
-    for (i, j), (ui, vj) in _draw_anchors(groups, tree, rng).items():
-        edges.append((groups[i][ui], groups[j][vj]))
+    anchors = _draw_anchors(groups, tree, rng)
+    edges.append([(groups[i][ui], groups[j][vj]) for (i, j), (ui, vj) in anchors.items()])
     return MultiGroupGraph(
-        graph=Graph(n, edges),
+        graph=Graph(n, _concat(edges)),
         groups=groups,
         group_sizes=seq,
         tree=tree,
@@ -336,17 +333,14 @@ def gen_edge_bundle(
     tree = uniform_spanning_tree(len(seq), rng)
     anchors = _draw_anchors(groups, tree, rng)
     for (i, j), (ui, vj) in anchors.items():
-        gi, gj = groups[i], groups[j]
-        si, sj = len(gi), len(gj)
+        si, sj = len(groups[i]), len(groups[j])
         alpha = bundle_edge_count(si, sj, params.bundle_scale)
-        edges.append((gi[ui], gj[vj]))
-        if alpha > 1:
-            anchor_flat = ui * sj + vj
-            pool = np.delete(np.arange(si * sj, dtype=np.int64), anchor_flat)
-            chosen = rng.choice(pool, size=alpha - 1, replace=False)
-            edges.extend((gi[int(f) // sj], gj[int(f) % sj]) for f in chosen)
+        # slot f of the si-by-sj bipartite grid joins members f // sj and f % sj
+        pool = np.delete(np.arange(si * sj, dtype=np.int64), ui * sj + vj)
+        chosen = np.append(ui * sj + vj, rng.choice(pool, size=alpha - 1, replace=False))
+        edges.append(np.column_stack((groups[i][0] + chosen // sj, groups[j][0] + chosen % sj)))
     return MultiGroupGraph(
-        graph=Graph(n, edges),
+        graph=Graph(n, _concat(edges)),
         groups=groups,
         group_sizes=seq,
         tree=tree,
@@ -378,10 +372,10 @@ def gen_comembership(
             raise GenerationError(
                 f"could not draw >= 3 inclusion edges into a group of size {len(members)}"
             )
-        edges.extend((v, int(w)) for w in members[mask])
+        edges.append(np.column_stack((np.full(int(mask.sum()), v), members[mask])))
         extra.append((v, tgt))
     return MultiGroupGraph(
-        graph=Graph(n, edges),
+        graph=Graph(n, _concat(edges)),
         groups=groups,
         group_sizes=seq,
         tree=tree,
@@ -419,6 +413,7 @@ def gen_liaison(
     seq, groups, edges = _scaffold(n, params, rng, size_spec)
     k = len(seq)
     liaisons: list[int] = []
+    liaison_edges: list[tuple[int, int]] = []
     next_node = n
     layer: list[tuple[str, int]] = [("group", gi) for gi in range(k)]
     while len(layer) > 1:
@@ -432,14 +427,15 @@ def gen_liaison(
             for kind, ref in layer[pos : pos + size]:
                 if kind == "group":
                     contact = groups[ref][int(rng.integers(len(groups[ref])))]
-                    edges.append((lid, contact))
+                    liaison_edges.append((lid, contact))
                 else:
-                    edges.append((lid, ref))
+                    liaison_edges.append((lid, ref))
             pos += size
             new_layer.append(("liaison", lid))
         layer = new_layer
+    edges.append(liaison_edges)
     return MultiGroupGraph(
-        graph=Graph(next_node, edges),
+        graph=Graph(next_node, _concat(edges)),
         groups=groups,
         group_sizes=seq,
         tree=None,

@@ -23,7 +23,11 @@ __all__ = [
     "power_law_pmf",
     "fixed_sum_realizations",
     "sample_group_sizes",
+    "MIN_POPULATION",
 ]
+
+# the smallest group of the default size law, so the smallest population
+MIN_POPULATION = 3
 
 _DRAW_BATCH = 64
 
@@ -42,7 +46,7 @@ class PowerLawSpec:
 
     support_max: int
     exponent: float = 3.0
-    support_min: int = 3
+    support_min: int = MIN_POPULATION
 
     def __post_init__(self) -> None:
         if self.exponent < 2:
@@ -168,8 +172,10 @@ def sample_group_sizes(
     ``{3..n}``, adjusted to sum to ``n`` exactly.
     """
     if spec is None:
-        if n < 3:
-            raise ValueError(f"population must have at least 3 individuals, got {n}")
+        if n < MIN_POPULATION:
+            raise ValueError(
+                f"population must have at least {MIN_POPULATION} individuals, got {n}"
+            )
         spec = PowerLawSpec(support_max=n)
     if n < spec.support_min:
         raise ValueError(f"n={n} is below the support minimum {spec.support_min}")

@@ -283,8 +283,9 @@ def test_criterion_8_generator_invariants():
                 if mg.group_count > 1:
                     root = max(liaisons)
                     bad = False
+                    degrees = mg.graph.degrees()
                     for lid in liaisons:
-                        deg = mg.graph.degree(lid)
+                        deg = degrees[lid]
                         branching = deg if lid == root else deg - 1
                         if branching not in (2, 3):
                             problems.append(f"liaison seed {seed}: branching {branching}")

@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 from groupnets.cli import main
 from groupnets.dynamics import NoiseModel
 from groupnets.experiments import METRIC_FIELDS, SweepConfig, measure, read_records_csv
@@ -25,7 +27,7 @@ def test_gen_formats(tmp_path):
                "--out", str(edges), "--format", "edges") == 0
     g = read_edge_list(edges)
     mg = generate("liaison", 30, seed=1)
-    assert g.edges == mg.graph.edges
+    assert np.array_equal(g.edges, mg.graph.edges)
     assert run("gen", "--modality", "liaison", "--n", "30", "--seed", "1",
                "--out", str(dot), "--format", "dot") == 0
     assert "subgraph cluster_0" in dot.read_text()
@@ -110,11 +112,17 @@ def test_usage_errors_exit_1(capsys):
     assert "usage" in err
 
 
+def test_gen_n_below_minimum_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "g.json")
+    assert run("gen", "--modality", "bridge", "--n", "2", "--out", out) == 1
+    assert run("gen", "--modality", "bridge", "--n", "x", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "at least 3" in err
+    assert run("gen", "--modality", "bridge", "--n", "3", "--out", out) == 0
+
+
 def test_computation_errors_exit_2(tmp_path, capsys):
     assert run("regress", "--in", str(tmp_path / "missing.csv"), "--metric", "rho2") == 2
-    # n below the minimum group size
-    assert run("gen", "--modality", "bridge", "--n", "2", "--seed", "0",
-               "--out", str(tmp_path / "g.json")) == 2
     err = capsys.readouterr().err
     assert "error:" in err
 

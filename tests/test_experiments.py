@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -43,6 +44,33 @@ def test_config_validation():
         SweepConfig(sizes=(20,), replications=1, modalities=("ring",))
     with pytest.raises(ValueError):
         SweepConfig(sizes=(20,), replications=1, master_seed=-3)
+
+
+def test_config_rejects_sizes_below_minimum():
+    with pytest.raises(ValueError, match="at least 3"):
+        SweepConfig(sizes=(2,), replications=1)
+    SweepConfig(sizes=(3,), replications=1)
+
+
+def test_config_rejects_per_node_noise():
+    # one variance per node cannot fit every record: n_actual varies
+    with pytest.raises(ValueError, match="scalar noise"):
+        SweepConfig(sizes=(20,), replications=1, noise=NoiseModel((1.0,) * 20))
+    text = SweepConfig(sizes=(20,), replications=1).to_json_text()
+    with pytest.raises(ValueError, match="scalar noise"):
+        SweepConfig.from_json_text(text.replace('"sigma2": 1.0', '"sigma2": [1.0, 2.0]'))
+
+
+@pytest.mark.parametrize("section, key", [
+    (None, "replicatons"),
+    ("params", "epsilom"),
+    ("noise", "sigma"),
+])
+def test_config_json_rejects_unknown_keys(section, key):
+    payload = json.loads(SweepConfig(sizes=(20,), replications=1).to_json_text())
+    (payload[section] if section else payload)[key] = 1
+    with pytest.raises(ValueError, match=key):
+        SweepConfig.from_json_text(json.dumps(payload))
 
 
 def test_config_json_roundtrip():

@@ -1,12 +1,18 @@
+from collections import deque
+
+import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from groupnets.graphs import (
     Graph,
     GraphDocument,
     average_clustering,
     average_shortest_path,
-    bfs_distances,
     degree_histogram,
     is_connected,
     read_edge_list,
@@ -19,6 +25,28 @@ def complete(n):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def bfs_distances(g, source):
+    """Unweighted hop distances from ``source``; -1 marks unreachable nodes.
+
+    A queue over adjacency lists read from ``g.edges``, apart from the CSR
+    the library metrics use.
+    """
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = np.full(g.n, -1, dtype=np.int64)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 def test_construction_validation():
     with pytest.raises(ValueError):
         Graph(3, [(0, 0)])
@@ -26,7 +54,9 @@ def test_construction_validation():
         Graph(3, [(0, 3)])
     g = Graph(3, [(0, 1), (1, 0), (0, 1)])  # duplicates collapse
     assert g.edge_count == 1
-    assert g.edges == ((0, 1),)
+    assert g.edges.tolist() == [[0, 1]]
+    assert g.edges.dtype == np.int64
+    assert not g.edges.flags.writeable
 
 
 def test_connectivity():
@@ -105,6 +135,8 @@ def test_bfs_symmetry():
     g = Graph(n, edges)
     dist = np.array([bfs_distances(g, s) for s in range(n)])
     assert (dist == dist.T).all()
+    ref = csgraph.shortest_path(g.to_csr(), unweighted=True, directed=False)
+    assert (dist == np.where(np.isinf(ref), -1, ref)).all()
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -116,7 +148,7 @@ def test_edge_list_roundtrip(tmp_path):
     assert text.endswith("\n")
     back = read_edge_list(path)
     assert back.n == 5
-    assert back.edges == g.edges
+    assert np.array_equal(back.edges, g.edges)
 
 
 def test_edge_list_bad_header(tmp_path):
@@ -190,3 +222,58 @@ def test_block_union_degree_histogram_heavy_tail():
     mode = max(counts, key=counts.get)
     tail = [counts.get(d, 0) for d in range(mode, mode + 9)]
     assert all(a > b for a, b in zip(tail, tail[1:]))
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, pairs) with duplicates, reversed pairs and isolated nodes allowed."""
+    n = draw(st.integers(1, 30))
+    if n == 1:
+        return n, []
+    node = st.integers(0, n - 1)
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    return n, draw(st.lists(pair, max_size=3 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_graph_matches_networkx(case):
+    n, pairs = case
+    g = Graph(n, pairs)
+    canon = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    assert g.edges.shape == (len(canon), 2)
+    assert g.edges.tolist() == [list(p) for p in canon]
+
+    # the CSR equals the one a COO build of both directions gives, array for array
+    e = np.array(canon, dtype=np.int64).reshape(-1, 2)
+    rows, cols = np.concatenate((e[:, 0], e[:, 1])), np.concatenate((e[:, 1], e[:, 0]))
+    ref = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    csr = g.to_csr()
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(csr, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(pairs)
+    assert g.degrees().tolist() == [d for _, d in sorted(G.degree())]
+    hist = nx.degree_histogram(G)
+    assert degree_histogram(g) == {d: c for d, c in enumerate(hist) if c}
+    assert is_connected(g) == nx.is_connected(G)
+    assert np.array_equal(g.to_dense(), nx.to_numpy_array(G, nodelist=range(n)))
+    if n >= 2 and nx.is_connected(G):
+        assert average_shortest_path(g) == pytest.approx(
+            nx.average_shortest_path_length(G), rel=1e-12)
+    assert average_clustering(g) == pytest.approx(nx.average_clustering(G), rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists(), st.integers(0, 29), st.integers(1, 40))
+def test_graph_rejects_self_loops_and_out_of_range(case, node, beyond):
+    n, pairs = case
+    with pytest.raises(ValueError, match="self-loop"):
+        Graph(n, pairs + [(node % n, node % n)])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(n, pairs + [(node % n, n - 1 + beyond)])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(n, [(-beyond, node % n)] + pairs)
