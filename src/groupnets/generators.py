@@ -176,8 +176,8 @@ class MultiGroupGraph:
 
 
 def _connected(size: int, us: np.ndarray, vs: np.ndarray) -> bool:
-    # a union-find: on the small blocks of the rejection loop it costs a
-    # tenth of csgraph.connected_components
+    # a union-find: on the small blocks of the rejection loop it costs a tenth
+    # or less of building a CSR for csgraph.connected_components
     parent = list(range(size))
 
     def find(x: int) -> int:
