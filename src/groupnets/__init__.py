@@ -18,13 +18,11 @@ from .partition import (
 from .graphs import (
     Graph,
     GraphDocument,
-    StructuralSummary,
     average_clustering,
     average_shortest_path,
     degree_histogram,
     is_connected,
     read_edge_list,
-    structural_summary,
     write_edge_list,
 )
 from .generators import (
@@ -46,22 +44,17 @@ from .dynamics import (
     ConditioningError,
     ConsensusSystem,
     ConvergenceError,
-    MarkovReport,
     NoiseModel,
-    SpectralReport,
     Trajectory,
     build_consensus_matrix,
     consensus_spectrum,
     convergence_time,
     hitting_times,
-    markov_report,
     propagation_growth_rates,
-    second_eigenvalue_modulus,
     simulate_consensus,
     simulate_hitting_time,
     simulate_noisy_consensus,
     spectral_radius,
-    spectral_report,
     steady_state_deviation,
 )
 from .experiments import (

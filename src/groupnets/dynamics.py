@@ -4,12 +4,15 @@ The averaging matrix ``W = (D + I)^-1 (A + I)`` gives every node equal
 weight on itself and each neighbor.  Its stationary distribution has the
 closed form ``pi_i = (d_i + 1) / (n + 2|E|)`` and satisfies detailed
 balance, so ``W`` is similar to the symmetric ``S = D_pi^1/2 W D_pi^-1/2``
-and the whole spectrum is real.  Propagation growth rates come from the
-dominant adjacency eigenvalue; consensus convergence from the second
-largest eigenvalue modulus of ``W``; the steady-state disagreement under
-noise from the eigenpairs of ``S``.  The Kemeny-Snell fundamental matrix
-and hitting times (``hitting_times``) give the same disagreement densely
-and serve as its reference.
+and the whole spectrum is real.
+
+Each quantity has one entry point taking a ``Graph``: ``spectral_radius``
+gives the dominant adjacency eigenvalue, from which
+``propagation_growth_rates`` gives SI/SIS growth; ``consensus_spectrum``
+gives the second largest eigenvalue modulus of ``W`` and the steady-state
+disagreement under noise from the eigenpairs of ``S``.  The dense
+Kemeny-Snell hitting times (``hitting_times``, ``steady_state_deviation``)
+and the simulators are their reference.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .graphs import Graph, is_connected
 
 __all__ = [
     "ConsensusSystem",
-    "SpectralReport",
     "MarkovReport",
     "NoiseModel",
     "Trajectory",
@@ -33,13 +35,10 @@ __all__ = [
     "ConditioningError",
     "build_consensus_matrix",
     "spectral_radius",
-    "second_eigenvalue_modulus",
     "consensus_spectrum",
     "convergence_time",
     "propagation_growth_rates",
-    "spectral_report",
     "hitting_times",
-    "markov_report",
     "steady_state_deviation",
     "simulate_consensus",
     "simulate_noisy_consensus",
@@ -99,19 +98,9 @@ class ConsensusSystem:
 
 
 @dataclass(frozen=True)
-class SpectralReport:
-    lambda_max: float
-    rho2: float
-    tau_asym: float
-    si_rate: float
-    sis_rate: float
-
-
-@dataclass(frozen=True)
 class MarkovReport:
     Z: np.ndarray
     H: np.ndarray
-    delta_ss: float | None = None
 
 
 @dataclass(frozen=True)
@@ -160,54 +149,44 @@ def _deflated_start(n: int) -> np.ndarray:
     return np.random.default_rng(0x5EED).standard_normal(n)
 
 
-def spectral_radius(a) -> float:
-    """Dominant eigenvalue of a symmetric nonnegative matrix.
+def spectral_radius(g: Graph) -> float:
+    """Largest adjacency eigenvalue of a graph; 0 for a graph with no edges.
 
-    Accepts dense arrays or scipy sparse matrices and solves with ARPACK's
-    Lanczos iteration, started from the all-ones vector (never orthogonal
-    to the nonnegative dominant eigenvector) so results are deterministic.
+    ARPACK's Lanczos iteration runs on the sparse adjacency, started from
+    the all-ones vector (never orthogonal to the nonnegative dominant
+    eigenvector) so results are deterministic.
     """
-    if sp.issparse(a):
-        a = a.tocsr()
-        n = a.shape[0]
-        if a.nnz and a.data.min() < 0:
-            raise ValueError("matrix must be nonnegative")
-        if (abs(a - a.T) > 1e-12).nnz:
-            raise ValueError("matrix must be symmetric")
-    else:
-        a = np.asarray(a, dtype=np.float64)
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValueError("matrix must be square")
-        if a.min() < 0:
-            raise ValueError("matrix must be nonnegative")
-        if np.abs(a - a.T).max() > 1e-12:
-            raise ValueError("matrix must be symmetric")
-    if n == 0:
-        raise ValueError("empty matrix")
-    top = a.max()
-    # ARPACK needs n >= 2, and the zero matrix maps its start to zero
-    if n == 1 or top == 0.0:
-        return float(top)
+    # ARPACK maps the zero matrix's start to zero
+    if g.edge_count == 0:
+        return 0.0
     try:
-        vals = eigsh(a, k=1, which="LA", v0=np.ones(n), return_eigenvectors=False)
+        vals = eigsh(g.to_csr(), k=1, which="LA", v0=np.ones(g.n), return_eigenvectors=False)
     except ArpackError as exc:
         raise ConvergenceError(f"Lanczos iteration failed: {exc}") from exc
     return float(vals[0])
 
 
-def _rho2_and_delta(
-    S: sp.csr_matrix, pi: np.ndarray, sigma2: np.ndarray | None
-) -> tuple[float, float | None]:
-    """rho2 of the symmetrized chain S and, given noise variances, delta_ss.
+def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float, float | None]:
+    """rho2 of a connected graph's averaging matrix and, given noise, delta_ss.
 
-    With eigenpairs (lambda_k, u_k) of S, lambda_1 = 1 and u_1 = sqrt(pi),
-    the fundamental matrix has Z_jj - pi_j = sum_{k>=2} u_kj^2 / (1 - lambda_k),
+    Builds S = (D+I)^-1/2 (A+I) (D+I)^-1/2, the symmetrized W, sparse from
+    the adjacency; delta_ss is None without ``noise``.  rho2 alone above
+    ``_DENSE_MAX_N`` nodes comes from Lanczos with sqrt(pi) deflated.  With
+    eigenpairs (lambda_k, u_k) of S, lambda_1 = 1 and u_1 = sqrt(pi), the
+    fundamental matrix has Z_jj - pi_j = sum_{k>=2} u_kj^2 / (1 - lambda_k),
     so delta_ss = sum_j pi_j sigma2_j (Z_jj - pi_j) needs no n-by-n Z or H
     (Levin, Peres and Wilmer, Markov Chains and Mixing Times, spectral
     representation of reversible chains).
     """
-    n = S.shape[0]
+    if not is_connected(g):
+        raise ValueError("consensus metrics require a connected graph (irreducibility)")
+    n = g.n
+    S = g.to_csr() + sp.identity(n, format="csr")
+    d1 = np.diff(S.indptr)  # row i of A + I holds d_i + 1 ones
+    # the exact integer product d1_i d1_j keeps S exactly symmetric
+    S.data = 1.0 / np.sqrt(d1[np.repeat(np.arange(n), d1)] * d1[S.indices])
+    pi = d1 / d1.sum()
+    sigma2 = None if noise is None else noise.variances(n)
     if sigma2 is None and n > _DENSE_MAX_N:
         v1 = np.sqrt(pi)
         op = LinearOperator(
@@ -235,35 +214,6 @@ def _rho2_and_delta(
     return rho2, float(pi * sigma2 @ excess)
 
 
-def second_eigenvalue_modulus(sys: ConsensusSystem) -> float:
-    """Second largest eigenvalue modulus of W.
-
-    Works on the symmetrized similar matrix S: a dense eigendecomposition
-    up to ``_DENSE_MAX_N`` nodes, above it a Lanczos solve with the known
-    dominant eigenvector sqrt(pi) deflated.
-    """
-    v1 = np.sqrt(sys.pi)
-    S = v1[:, None] * sys.W / v1[None, :]
-    return _rho2_and_delta(sp.csr_matrix((S + S.T) / 2.0), sys.pi, None)[0]
-
-
-def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float, float | None]:
-    """rho2 of a connected graph's averaging matrix and, given noise, delta_ss.
-
-    Builds S = (D+I)^-1/2 (A+I) (D+I)^-1/2, the symmetrized W, sparse from
-    the adjacency with no dense W; delta_ss is None without ``noise``.
-    """
-    if not is_connected(g):
-        raise ValueError("consensus metrics require a connected graph (irreducibility)")
-    n = g.n
-    S = g.to_csr() + sp.identity(n, format="csr")
-    d1 = np.diff(S.indptr)  # row i of A + I holds d_i + 1 ones
-    # the exact integer product d1_i d1_j keeps S exactly symmetric
-    S.data = 1.0 / np.sqrt(d1[np.repeat(np.arange(n), d1)] * d1[S.indices])
-    sigma2 = None if noise is None else noise.variances(n)
-    return _rho2_and_delta(S, d1 / d1.sum(), sigma2)
-
-
 def convergence_time(rho2: float) -> float:
     """Asymptotic steps for the consensus error to shrink by 1/e: 1/log(1/rho2).
 
@@ -286,20 +236,6 @@ def propagation_growth_rates(
         raise ValueError("recovery rate gamma must be positive")
     si = beta * lambda_max
     return si, si - gamma
-
-
-def spectral_report(g: Graph, beta: float = 1.0, gamma: float = 1.0) -> SpectralReport:
-    """All spectral metrics of a connected graph in one record."""
-    rho2, _ = consensus_spectrum(g)
-    lam = spectral_radius(g.to_csr())
-    si, sis = propagation_growth_rates(lam, beta, gamma)
-    return SpectralReport(
-        lambda_max=lam,
-        rho2=rho2,
-        tau_asym=convergence_time(rho2),
-        si_rate=si,
-        sis_rate=sis,
-    )
 
 
 def hitting_times(sys: ConsensusSystem) -> MarkovReport:
@@ -328,13 +264,6 @@ def steady_state_deviation(
         raise ValueError(f"H has shape {H.shape}, expected ({n}, {n})")
     sigma2 = noise.variances(n)
     return float(sys.pi @ H @ (sys.pi * sys.pi * sigma2))
-
-
-def markov_report(sys: ConsensusSystem, noise: NoiseModel) -> MarkovReport:
-    """Fundamental matrix, hitting times and disagreement level in one record."""
-    partial = hitting_times(sys)
-    delta = steady_state_deviation(sys, partial.H, noise)
-    return MarkovReport(Z=partial.Z, H=partial.H, delta_ss=delta)
 
 
 def simulate_consensus(sys: ConsensusSystem, x0, horizon: int) -> Trajectory:

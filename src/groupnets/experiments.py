@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from numbers import Real
@@ -29,7 +30,7 @@ from .dynamics import (
     spectral_radius,
 )
 from .generators import MODALITIES, GenerationError, ModalityParams, generate
-from .graphs import Graph, structural_summary
+from .graphs import Graph, average_clustering, average_shortest_path
 from .partition import MIN_POPULATION
 
 __all__ = [
@@ -87,9 +88,12 @@ class SweepConfig:
             raise ValueError(f"unknown modalities: {unknown}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
-        if not isinstance(self.noise.sigma2, Real):
+        sigma2 = self.noise.sigma2
+        if not isinstance(sigma2, Real):
             # n_actual differs between records (liaison adds nodes)
             raise ValueError("a sweep takes one scalar noise variance, not per-node values")
+        if not 0.0 <= sigma2 < math.inf:
+            raise ValueError(f"noise variance must be finite and nonnegative, got {sigma2}")
 
     def to_json_text(self) -> str:
         payload = {
@@ -121,6 +125,18 @@ class SweepConfig:
             unknown = sorted(set(section) - {f.name for f in fields(known)})
             if unknown:
                 raise ValueError(f"unknown {where} keys: {unknown}")
+        for key, kind, what in (
+            ("sizes", list, "a list"),
+            ("modalities", list, "a list"),
+            ("replications", int, "an integer"),
+            ("master_seed", int, "an integer"),
+            ("heavy_metrics_max_n", int, "an integer"),
+        ):
+            # exact types: JSON true and false load as bools, a subclass of int
+            if key in payload and type(payload[key]) is not kind:
+                raise ValueError(f"{key} must be {what}, got {payload[key]!r}")
+        if any(type(s) is not int for s in payload.get("sizes", [])):
+            raise ValueError(f"sizes must be integers, got {payload['sizes']!r}")
         branching = params.get("branching_pmf")
         kwargs = {}
         if "epsilon" in params:
@@ -133,13 +149,13 @@ class SweepConfig:
             kwargs["branching_pmf"] = {int(k): float(v) for k, v in branching.items()}
         sigma2 = noise.get("sigma2", 1.0)
         return cls(
-            sizes=tuple(int(s) for s in payload["sizes"]),
-            replications=int(payload["replications"]),
+            sizes=tuple(payload["sizes"]),
+            replications=payload["replications"],
             modalities=tuple(payload.get("modalities", MODALITIES)),
-            master_seed=int(payload.get("master_seed", 0)),
+            master_seed=payload.get("master_seed", 0),
             params=ModalityParams(**kwargs),
-            noise=NoiseModel(sigma2 if isinstance(sigma2, (int, float)) else tuple(sigma2)),
-            heavy_metrics_max_n=int(payload.get("heavy_metrics_max_n", 600)),
+            noise=NoiseModel(tuple(sigma2) if isinstance(sigma2, list) else sigma2),
+            heavy_metrics_max_n=payload.get("heavy_metrics_max_n", 600),
         )
 
 
@@ -182,17 +198,18 @@ def replication_seed(master_seed: int, modality: str, size: int, rep: int) -> in
 def measure(g: Graph, noise: NoiseModel, with_delta: bool) -> dict[str, float | None]:
     """The ``METRIC_FIELDS`` of a connected graph; delta_ss is None unless ``with_delta``.
 
-    Raises ValueError on a disconnected graph before any other work.
+    rho2 and delta_ss come from one ``consensus_spectrum`` call.  Raises
+    ValueError on a disconnected graph before any other work.
     """
     # consensus_spectrum checks connectivity first, so it runs first
     rho2, delta = consensus_spectrum(g, noise if with_delta else None)
-    summary = structural_summary(g)
+    m = g.edge_count
     return {
-        "avg_shortest_path": summary.average_shortest_path,
-        "avg_degree": summary.average_degree,
-        "density": summary.density,
-        "clustering": summary.average_clustering,
-        "lambda_max": spectral_radius(g.to_csr()),
+        "avg_shortest_path": average_shortest_path(g),
+        "avg_degree": 2.0 * m / g.n,
+        "density": 2.0 * m / (g.n * (g.n - 1)),
+        "clustering": average_clustering(g),
+        "lambda_max": spectral_radius(g),
         "rho2": rho2,
         "tau_asym": convergence_time(rho2),
         "delta_ss": delta,

@@ -18,13 +18,11 @@ from scipy.sparse import csgraph
 
 __all__ = [
     "Graph",
-    "StructuralSummary",
     "GraphDocument",
     "is_connected",
     "average_shortest_path",
     "average_clustering",
     "degree_histogram",
-    "structural_summary",
     "write_edge_list",
     "read_edge_list",
 ]
@@ -87,15 +85,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-@dataclass(frozen=True)
-class StructuralSummary:
-    average_shortest_path: float
-    average_degree: float
-    density: float
-    average_clustering: float
-    degree_histogram: dict[int, int]
-
-
 def is_connected(g: Graph) -> bool:
     """True iff the graph has exactly one connected component."""
     if g.n == 0:
@@ -142,18 +131,6 @@ def degree_histogram(g: Graph) -> dict[int, int]:
     """Map from degree to node count; counts sum to n."""
     degrees, counts = np.unique(g.degrees(), return_counts=True)
     return dict(zip(degrees.tolist(), counts.tolist()))
-
-
-def structural_summary(g: Graph) -> StructuralSummary:
-    """All structural metrics of a connected graph in one record."""
-    m = g.edge_count
-    return StructuralSummary(
-        average_shortest_path=average_shortest_path(g),
-        average_degree=2.0 * m / g.n,
-        density=2.0 * m / (g.n * (g.n - 1)) if g.n > 1 else 0.0,
-        average_clustering=average_clustering(g),
-        degree_histogram=degree_histogram(g),
-    )
 
 
 def write_edge_list(g: Graph, path) -> None:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from groupnets.cli import main
 from groupnets.dynamics import NoiseModel
@@ -80,6 +81,22 @@ def test_sweep_with_config(tmp_path):
 def test_sweep_missing_sizes_is_computation_error(tmp_path):
     out = tmp_path / "runs.csv"
     assert run("sweep", "--out", str(out)) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"sizes": 10, "replications": 1}', "sizes must be a list"),
+    ('{"sizes": [10], "replications": 1, "modalities": "bridge"}', "modalities must be a list"),
+    ('{"sizes": [10], "replications": 1, "noise": {"sigma2": NaN}}', "finite and nonnegative"),
+])
+def test_sweep_bad_config_is_one_error_line(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "runs.csv"
+    assert run("sweep", "--config", str(cfg_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
 
 
 def test_regress_table_and_json(tmp_path, capsys):

@@ -9,15 +9,14 @@ from groupnets.dynamics import (
     ConvergenceError,
     NoiseModel,
     build_consensus_matrix,
+    consensus_spectrum,
     convergence_time,
     hitting_times,
     propagation_growth_rates,
-    second_eigenvalue_modulus,
     simulate_consensus,
     simulate_hitting_time,
     simulate_noisy_consensus,
     spectral_radius,
-    spectral_report,
     steady_state_deviation,
 )
 from groupnets.generators import generate
@@ -91,20 +90,21 @@ def test_stationary_matches_eigenvector_oracle():
 
 
 def test_spectral_radius_closed_forms():
-    assert spectral_radius(complete(5).to_csr()) == pytest.approx(4.0, abs=1e-9)
-    assert spectral_radius(PATH3.to_dense()) == pytest.approx(np.sqrt(2), abs=1e-9)
-    assert spectral_radius(STAR4.to_csr()) == pytest.approx(np.sqrt(3), abs=1e-9)
-    assert spectral_radius(K2.to_dense()) == pytest.approx(1.0, abs=1e-9)
-    assert spectral_radius(np.zeros((1, 1))) == pytest.approx(0.0, abs=1e-12)
+    assert spectral_radius(complete(5)) == pytest.approx(4.0, abs=1e-9)
+    assert spectral_radius(PATH3) == pytest.approx(np.sqrt(2), abs=1e-9)
+    assert spectral_radius(STAR4) == pytest.approx(np.sqrt(3), abs=1e-9)
+    assert spectral_radius(K2) == pytest.approx(1.0, abs=1e-9)
+    assert spectral_radius(Graph(1, [])) == 0.0
+    assert spectral_radius(Graph(3, [])) == 0.0
 
 
 def test_spectral_radius_near_degenerate_top():
     # the top two adjacency eigenvalues are 6.55532 and 6.55409; a power
     # iteration stopped on a small step overstated its accuracy here
-    a = generate("liaison", 50, seed=7985145763100456188).graph.to_csr()
-    assert a.shape == (57, 57)
-    ref = float(scipy.linalg.eigvalsh(a.toarray())[-1])
-    assert spectral_radius(a) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    g = generate("liaison", 50, seed=7985145763100456188).graph
+    assert g.n == 57
+    ref = float(scipy.linalg.eigvalsh(g.to_dense())[-1])
+    assert spectral_radius(g) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_solver_failures_raise_convergence_error(monkeypatch):
@@ -113,36 +113,28 @@ def test_solver_failures_raise_convergence_error(monkeypatch):
 
     monkeypatch.setattr(dynamics, "eigsh", no_convergence)
     with pytest.raises(ConvergenceError):
-        spectral_radius(PATH3.to_csr())
+        spectral_radius(PATH3)
     monkeypatch.setattr(dynamics, "_DENSE_MAX_N", 0)
     with pytest.raises(ConvergenceError):
-        second_eigenvalue_modulus(build_consensus_matrix(PATH3))
-
-
-def test_spectral_radius_validation():
-    with pytest.raises(ValueError):
-        spectral_radius(np.array([[0.0, 1.0], [0.5, 0.0]]))
-    with pytest.raises(ValueError):
-        spectral_radius(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        consensus_spectrum(PATH3)
 
 
 def test_second_eigenvalue_closed_forms():
-    assert second_eigenvalue_modulus(build_consensus_matrix(K2)) == pytest.approx(0.0, abs=1e-9)
-    assert second_eigenvalue_modulus(build_consensus_matrix(PATH3)) == pytest.approx(0.5, abs=1e-9)
-    assert second_eigenvalue_modulus(build_consensus_matrix(complete(4))) == pytest.approx(0.0, abs=1e-9)
+    assert consensus_spectrum(K2)[0] == pytest.approx(0.0, abs=1e-9)
+    assert consensus_spectrum(PATH3)[0] == pytest.approx(0.5, abs=1e-9)
+    assert consensus_spectrum(complete(4))[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_eigen_oracle_small_graphs():
-    # brute-force eigendecomposition vs iterative implementations
+    # brute-force eigendecomposition vs the solver paths
     rng = np.random.default_rng(1)
     for _ in range(200):
         g = random_connected(rng, int(rng.integers(3, 9)))
-        a = g.to_dense()
-        lam = spectral_radius(a)
-        lam_brute = float(np.linalg.eigvalsh(a)[-1])
+        lam = spectral_radius(g)
+        lam_brute = float(np.linalg.eigvalsh(g.to_dense())[-1])
         assert abs(lam - lam_brute) < 1e-8
         sys = build_consensus_matrix(g)
-        assert abs(second_eigenvalue_modulus(sys) - brute_rho2(sys)) < 1e-8
+        assert abs(consensus_spectrum(g)[0] - brute_rho2(sys)) < 1e-8
 
 
 def test_eigen_oracle_lanczos_branch(monkeypatch):
@@ -151,7 +143,7 @@ def test_eigen_oracle_lanczos_branch(monkeypatch):
     for _ in range(15):
         g = random_connected(rng, 100, p=0.08)
         sys = build_consensus_matrix(g)
-        assert abs(second_eigenvalue_modulus(sys) - brute_rho2(sys)) < 1e-8
+        assert abs(consensus_spectrum(g)[0] - brute_rho2(sys)) < 1e-8
 
 
 def test_edge_addition_never_decreases_spectral_radius():
@@ -193,15 +185,6 @@ def test_propagation_growth_rates():
         propagation_growth_rates(4.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         propagation_growth_rates(4.0, 1.0, -1.0)
-
-
-def test_spectral_report_fields():
-    rep = spectral_report(PATH3, beta=0.2, gamma=1.0)
-    assert rep.lambda_max == pytest.approx(np.sqrt(2), abs=1e-9)
-    assert rep.rho2 == pytest.approx(0.5, abs=1e-9)
-    assert rep.tau_asym == pytest.approx(1.0 / np.log(2.0), abs=1e-9)
-    assert rep.si_rate == pytest.approx(0.2 * np.sqrt(2))
-    assert rep.sis_rate == pytest.approx(0.2 * np.sqrt(2) - 1.0)
 
 
 def test_hitting_times_closed_forms():
@@ -291,7 +274,7 @@ def test_simulate_noisy_consensus_matches_analytic_20_nodes():
     sys = build_consensus_matrix(mg.graph)
     H = hitting_times(sys).H
     analytic = steady_state_deviation(sys, H, NoiseModel(1.0))
-    tau = convergence_time(second_eigenvalue_modulus(sys))
+    tau = convergence_time(consensus_spectrum(mg.graph)[0])
     horizon = max(200, int(100 * tau))
     est = simulate_noisy_consensus(
         sys, NoiseModel(1.0), horizon=horizon, replications=300, rng=np.random.default_rng(2)
@@ -307,13 +290,3 @@ def test_generated_graph_invariants():
             mg = generate(modality, 60, seed=seed)
             sys = build_consensus_matrix(mg.graph)
             assert abs(sys.pi.sum() - 1.0) < 1e-12
-
-
-def test_markov_report_populates_delta():
-    from groupnets.dynamics import markov_report
-
-    sys = build_consensus_matrix(complete(3))
-    rep = markov_report(sys, NoiseModel(1.0))
-    assert rep.delta_ss == pytest.approx(2 / 3, abs=1e-12)
-    assert rep.H.shape == (3, 3)
-    assert rep.Z.shape == (3, 3)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +11,7 @@ from groupnets.dynamics import (
     NoiseModel,
     build_consensus_matrix,
     hitting_times,
+    propagation_growth_rates,
     steady_state_deviation,
 )
 from groupnets.experiments import (
@@ -26,6 +28,7 @@ from groupnets.experiments import (
     write_records_csv,
 )
 from groupnets.generators import MODALITIES, GenerationError, ModalityParams, generate
+from groupnets.graphs import Graph
 
 
 SMALL = SweepConfig(sizes=(20, 40), replications=2, master_seed=5)
@@ -71,6 +74,37 @@ def test_config_json_rejects_unknown_keys(section, key):
     (payload[section] if section else payload)[key] = 1
     with pytest.raises(ValueError, match=key):
         SweepConfig.from_json_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("sizes", 10, "sizes must be a list"),
+    ("sizes", [10.5], "sizes must be integers"),
+    ("modalities", "bridge", "modalities must be a list"),
+    ("replications", 1.7, "replications must be an integer"),
+    ("replications", True, "replications must be an integer"),
+    ("master_seed", "5", "master_seed must be an integer"),
+    ("heavy_metrics_max_n", 600.5, "heavy_metrics_max_n must be an integer"),
+])
+def test_config_json_rejects_wrong_types(key, value, message):
+    payload = json.loads(SweepConfig(sizes=(20,), replications=1).to_json_text())
+    payload[key] = value
+    with pytest.raises(ValueError, match=message):
+        SweepConfig.from_json_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("sigma2", [-1.0, math.nan, math.inf])
+def test_config_rejects_bad_noise_variance(sigma2):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        SweepConfig(sizes=(20,), replications=1, noise=NoiseModel(sigma2))
+    text = SweepConfig(sizes=(20,), replications=1).to_json_text()
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        SweepConfig.from_json_text(text.replace('"sigma2": 1.0', f'"sigma2": {json.dumps(sigma2)}'))
+
+
+def test_config_json_rejects_null_noise_variance():
+    text = SweepConfig(sizes=(20,), replications=1).to_json_text()
+    with pytest.raises(ValueError, match="scalar noise"):
+        SweepConfig.from_json_text(text.replace('"sigma2": 1.0', '"sigma2": null'))
 
 
 def test_config_json_roundtrip():
@@ -155,6 +189,28 @@ def test_heavy_metric_gate_uses_requested_size():
     assert all(r.delta_ss is not None for r in records)
 
 
+def test_measure_closed_forms():
+    k5 = measure(Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)]),
+                 NoiseModel(1.0), with_delta=False)
+    assert k5["density"] == pytest.approx(1.0)
+    assert k5["avg_degree"] == pytest.approx(4.0)
+    assert k5["avg_shortest_path"] == pytest.approx(1.0)
+    assert k5["clustering"] == pytest.approx(1.0)
+    assert k5["lambda_max"] == pytest.approx(4.0, abs=1e-9)
+    assert k5["rho2"] == pytest.approx(0.0, abs=1e-9)
+    path = measure(Graph(3, [(0, 1), (1, 2)]), NoiseModel(1.0), with_delta=False)
+    assert path["density"] == pytest.approx(2 / 3)
+    assert path["avg_degree"] == pytest.approx(4 / 3)
+    assert path["avg_shortest_path"] == pytest.approx(4 / 3)
+    assert path["clustering"] == 0.0
+    assert path["lambda_max"] == pytest.approx(np.sqrt(2), abs=1e-9)
+    assert path["rho2"] == pytest.approx(0.5, abs=1e-9)
+    assert path["tau_asym"] == pytest.approx(1.0 / np.log(2.0), abs=1e-9)
+    si, sis = propagation_growth_rates(path["lambda_max"], beta=0.2, gamma=1.0)
+    assert si == pytest.approx(0.2 * np.sqrt(2))
+    assert sis == pytest.approx(0.2 * np.sqrt(2) - 1.0)
+
+
 def _brute_rho2(sys):
     s = np.sqrt(sys.pi)
     S = s[:, None] * sys.W / s[None, :]
@@ -163,9 +219,11 @@ def _brute_rho2(sys):
 
 
 def test_measure_matches_dense_oracles(monkeypatch):
-    # delta_ss against the Kemeny-Snell hitting-time form, rho2 against a
-    # brute-force eigvalsh, on both sides of the dense/Lanczos size switch;
-    # the absolute floor covers a rho2 of exactly 0 (complete graphs)
+    # every field of measure against an independent reference: delta_ss
+    # against the Kemeny-Snell hitting-time form, rho2 and lambda_max
+    # against brute-force eigvalsh (rho2 on both sides of the dense/Lanczos
+    # size switch), the structural fields against networkx; the absolute
+    # floor covers a rho2 of exactly 0 (complete graphs)
     rng = np.random.default_rng(8)
     for trial in range(120):
         modality = MODALITIES[trial % 4]
@@ -177,9 +235,20 @@ def test_measure_matches_dense_oracles(monkeypatch):
             noise = NoiseModel(float(rng.uniform(0.1, 3.0)))
         ref_delta = steady_state_deviation(sys, hitting_times(sys).H, noise)
         ref_rho2 = _brute_rho2(sys)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges.tolist())
         got = measure(g, noise, with_delta=True)
         assert got["delta_ss"] == pytest.approx(ref_delta, rel=1e-9, abs=0.0)
         assert got["rho2"] == pytest.approx(ref_rho2, rel=1e-9, abs=1e-12)
+        ref_lambda = float(scipy.linalg.eigvalsh(g.to_dense())[-1])
+        assert got["lambda_max"] == pytest.approx(ref_lambda, rel=1e-12, abs=0.0)
+        assert got["avg_shortest_path"] == pytest.approx(
+            nx.average_shortest_path_length(nxg), rel=0.0, abs=1e-12)
+        assert got["clustering"] == pytest.approx(nx.average_clustering(nxg), rel=0.0, abs=1e-12)
+        assert got["density"] == pytest.approx(nx.density(nxg), rel=0.0, abs=1e-12)
+        assert got["avg_degree"] == pytest.approx(
+            sum(d for _, d in nxg.degree()) / g.n, rel=0.0, abs=1e-12)
         for dense_max_n in (g.n, g.n - 1):
             monkeypatch.setattr(dynamics, "_DENSE_MAX_N", dense_max_n)
             got = measure(g, noise, with_delta=False)

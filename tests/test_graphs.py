@@ -16,7 +16,6 @@ from groupnets.graphs import (
     degree_histogram,
     is_connected,
     read_edge_list,
-    structural_summary,
     write_edge_list,
 )
 
@@ -96,19 +95,6 @@ def test_degree_histogram():
     assert degree_histogram(complete(5)) == {4: 5}
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert degree_histogram(star) == {1: 3, 3: 1}
-
-
-def test_structural_summary_k5_and_path():
-    s = structural_summary(complete(5))
-    assert s.density == pytest.approx(1.0)
-    assert s.average_degree == pytest.approx(4.0)
-    assert s.average_shortest_path == pytest.approx(1.0)
-    assert s.average_clustering == pytest.approx(1.0)
-    p = structural_summary(Graph(3, [(0, 1), (1, 2)]))
-    assert p.density == pytest.approx(2 / 3)
-    assert p.average_degree == pytest.approx(4 / 3)
-    assert p.average_shortest_path == pytest.approx(4 / 3)
-    assert p.average_clustering == 0.0
 
 
 def test_handshake_and_ranges():
