@@ -19,6 +19,7 @@ from groupnets.dynamics import (
     spectral_radius,
     steady_state_deviation,
 )
+from groupnets.experiments import measure
 from groupnets.generators import generate
 from groupnets.graphs import Graph
 
@@ -185,6 +186,20 @@ def test_propagation_growth_rates():
         propagation_growth_rates(4.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         propagation_growth_rates(4.0, 1.0, -1.0)
+
+
+def test_spectral_report_fields():
+    # the spectral fields that measure reports, on K5 and the path P3
+    k5 = measure(complete(5), NoiseModel(1.0), with_delta=False)
+    assert k5["lambda_max"] == pytest.approx(4.0, abs=1e-9)
+    assert k5["rho2"] == pytest.approx(0.0, abs=1e-9)
+    rep = measure(PATH3, NoiseModel(1.0), with_delta=False)
+    assert rep["lambda_max"] == pytest.approx(np.sqrt(2), abs=1e-9)
+    assert rep["rho2"] == pytest.approx(0.5, abs=1e-9)
+    assert rep["tau_asym"] == pytest.approx(1.0 / np.log(2.0), abs=1e-9)
+    si, sis = propagation_growth_rates(rep["lambda_max"], beta=0.2, gamma=1.0)
+    assert si == pytest.approx(0.2 * np.sqrt(2))
+    assert sis == pytest.approx(0.2 * np.sqrt(2) - 1.0)
 
 
 def test_hitting_times_closed_forms():

@@ -11,7 +11,6 @@ from groupnets.dynamics import (
     NoiseModel,
     build_consensus_matrix,
     hitting_times,
-    propagation_growth_rates,
     steady_state_deviation,
 )
 from groupnets.experiments import (
@@ -187,28 +186,6 @@ def test_heavy_metric_gate_uses_requested_size():
     records = run_sweep(cfg)
     assert max(r.n_actual for r in records) > cfg.heavy_metrics_max_n
     assert all(r.delta_ss is not None for r in records)
-
-
-def test_measure_closed_forms():
-    k5 = measure(Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)]),
-                 NoiseModel(1.0), with_delta=False)
-    assert k5["density"] == pytest.approx(1.0)
-    assert k5["avg_degree"] == pytest.approx(4.0)
-    assert k5["avg_shortest_path"] == pytest.approx(1.0)
-    assert k5["clustering"] == pytest.approx(1.0)
-    assert k5["lambda_max"] == pytest.approx(4.0, abs=1e-9)
-    assert k5["rho2"] == pytest.approx(0.0, abs=1e-9)
-    path = measure(Graph(3, [(0, 1), (1, 2)]), NoiseModel(1.0), with_delta=False)
-    assert path["density"] == pytest.approx(2 / 3)
-    assert path["avg_degree"] == pytest.approx(4 / 3)
-    assert path["avg_shortest_path"] == pytest.approx(4 / 3)
-    assert path["clustering"] == 0.0
-    assert path["lambda_max"] == pytest.approx(np.sqrt(2), abs=1e-9)
-    assert path["rho2"] == pytest.approx(0.5, abs=1e-9)
-    assert path["tau_asym"] == pytest.approx(1.0 / np.log(2.0), abs=1e-9)
-    si, sis = propagation_growth_rates(path["lambda_max"], beta=0.2, gamma=1.0)
-    assert si == pytest.approx(0.2 * np.sqrt(2))
-    assert sis == pytest.approx(0.2 * np.sqrt(2) - 1.0)
 
 
 def _brute_rho2(sys):

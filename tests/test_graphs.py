@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
+from groupnets.dynamics import NoiseModel
+from groupnets.experiments import measure
 from groupnets.graphs import (
     Graph,
     GraphDocument,
@@ -95,6 +97,20 @@ def test_degree_histogram():
     assert degree_histogram(complete(5)) == {4: 5}
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert degree_histogram(star) == {1: 3, 3: 1}
+
+
+def test_structural_summary_k5_and_path():
+    # the structural fields that measure reports, on K5 and the path P3
+    s = measure(complete(5), NoiseModel(1.0), with_delta=False)
+    assert s["density"] == pytest.approx(1.0)
+    assert s["avg_degree"] == pytest.approx(4.0)
+    assert s["avg_shortest_path"] == pytest.approx(1.0)
+    assert s["clustering"] == pytest.approx(1.0)
+    p = measure(Graph(3, [(0, 1), (1, 2)]), NoiseModel(1.0), with_delta=False)
+    assert p["density"] == pytest.approx(2 / 3)
+    assert p["avg_degree"] == pytest.approx(4 / 3)
+    assert p["avg_shortest_path"] == pytest.approx(4 / 3)
+    assert p["clustering"] == 0.0
 
 
 def test_handshake_and_ranges():
