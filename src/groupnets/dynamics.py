@@ -10,7 +10,9 @@ Each quantity has one entry point taking a ``Graph``: ``spectral_radius``
 gives the dominant adjacency eigenvalue, from which
 ``propagation_growth_rates`` gives SI/SIS growth; ``consensus_spectrum``
 gives the second largest eigenvalue modulus of ``W`` and the steady-state
-disagreement under noise from the eigenpairs of ``S``.  The dense
+disagreement under noise from the eigenpairs of ``S``.  On large graphs
+rho2 alone comes from shift-invert Lanczos on the sparse ``S`` with no
+n-by-n array; delta_ss always takes a dense eigendecomposition.  The dense
 Kemeny-Snell hitting times (``hitting_times``, ``steady_state_deviation``)
 and the simulators are their reference.
 """
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .graphs import Graph, is_connected
 
@@ -46,10 +48,10 @@ __all__ = [
 ]
 
 # Largest n at which rho2 alone comes from a dense eigvalsh of S; above it
-# a Lanczos solve on the sparse S is faster (the two tie near n = 800 with
-# one BLAS thread).  delta_ss needs every eigenpair, so it always takes the
-# dense path.
-_DENSE_MAX_N = 800
+# shift-invert Lanczos on the sparse S is faster (on generated graphs the
+# two tie near n = 200 with one BLAS thread, and Lanczos wins from 300).
+# delta_ss needs every eigenpair, so it always takes the dense path.
+_DENSE_MAX_N = 250
 
 
 class ConvergenceError(RuntimeError):
@@ -141,14 +143,6 @@ def build_consensus_matrix(g: Graph) -> ConsensusSystem:
     return ConsensusSystem(W=W, pi=pi)
 
 
-def _deflated_start(n: int) -> np.ndarray:
-    # the deflated iteration needs a start that is generic with respect
-    # to graph symmetries (second eigenvectors are often antisymmetric,
-    # so a near-constant vector can be almost orthogonal to them);
-    # a fixed-seed draw keeps it deterministic
-    return np.random.default_rng(0x5EED).standard_normal(n)
-
-
 def spectral_radius(g: Graph) -> float:
     """Largest adjacency eigenvalue of a graph; 0 for a graph with no edges.
 
@@ -170,11 +164,19 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
     """rho2 of a connected graph's averaging matrix and, given noise, delta_ss.
 
     Builds S = (D+I)^-1/2 (A+I) (D+I)^-1/2, the symmetrized W, sparse from
-    the adjacency; delta_ss is None without ``noise``.  rho2 alone above
-    ``_DENSE_MAX_N`` nodes comes from Lanczos with sqrt(pi) deflated.  With
-    eigenpairs (lambda_k, u_k) of S, lambda_1 = 1 and u_1 = sqrt(pi), the
-    fundamental matrix has Z_jj - pi_j = sum_{k>=2} u_kj^2 / (1 - lambda_k),
-    so delta_ss = sum_j pi_j sigma2_j (Z_jj - pi_j) needs no n-by-n Z or H
+    the adjacency; delta_ss is None without ``noise``.
+
+    rho2 alone above ``_DENSE_MAX_N`` nodes needs no n-by-n array:
+    shift-invert Lanczos about 1 + 1e-3 gives the two largest eigenvalues,
+    1 and lambda2, in a few sparse solves even when 1 - lambda2 is tiny.
+    W is lazy: W = a I + (1 - a) W' with a = 1/(d_max + 1) and W'
+    stochastic, so lambda_min >= 2a - 1, and lambda2 >= 1 - 2a certifies
+    rho2 = lambda2; otherwise one more Lanczos run gives lambda_min.
+
+    Otherwise a dense eigendecomposition of S gives both.  With eigenpairs
+    (lambda_k, u_k) of S, lambda_1 = 1 and u_1 = sqrt(pi), the fundamental
+    matrix has Z_jj - pi_j = sum_{k>=2} u_kj^2 / (1 - lambda_k), so
+    delta_ss = sum_j pi_j sigma2_j (Z_jj - pi_j) needs no n-by-n Z or H
     (Levin, Peres and Wilmer, Markov Chains and Mixing Times, spectral
     representation of reversible chains).
     """
@@ -188,17 +190,18 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
     pi = d1 / d1.sum()
     sigma2 = None if noise is None else noise.variances(n)
     if sigma2 is None and n > _DENSE_MAX_N:
-        v1 = np.sqrt(pi)
-        op = LinearOperator(
-            (n, n), matvec=lambda x: S @ x - v1 * (v1 @ x), dtype=np.float64
-        )
-        v0 = _deflated_start(n)
-        v0 -= v1 * (v1 @ v0)
+        # a fixed-seed start: deterministic, and generic with respect to graph
+        # symmetries (a structured start can be orthogonal to an eigenvector)
+        v0 = np.random.default_rng(0x5EED).standard_normal(n)
         try:
-            vals = eigsh(op, k=1, which="LM", tol=1e-10, v0=v0, return_eigenvectors=False)
+            lam2 = float(eigsh(S.tocsc(), k=2, sigma=1.0 + 1e-3, v0=v0,
+                               return_eigenvectors=False).min())
+            if lam2 >= 1.0 - 2.0 / d1.max():
+                return lam2, None
+            lam_min = eigsh(S, k=1, which="SA", v0=v0, return_eigenvectors=False)
         except ArpackError as exc:
             raise ConvergenceError(f"Lanczos iteration failed: {exc}") from exc
-        return float(abs(vals[0])), None
+        return max(lam2, -float(lam_min[0])), None
     try:
         if sigma2 is None:
             lam = scipy.linalg.eigvalsh(S.toarray(), driver="evd")

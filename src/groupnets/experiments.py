@@ -115,6 +115,11 @@ class SweepConfig:
     @classmethod
     def from_json_text(cls, text: str) -> "SweepConfig":
         payload = json.loads(text)
+        if type(payload) is not dict:
+            raise ValueError(f"config must be a JSON object, got {payload!r}")
+        missing = [key for key in ("sizes", "replications") if key not in payload]
+        if missing:
+            raise ValueError(f"config is missing required keys: {missing}")
         params = payload.get("params", {})
         noise = payload.get("noise", {})
         for where, section, known in (
@@ -122,31 +127,38 @@ class SweepConfig:
             ("params", params, ModalityParams),
             ("noise", noise, NoiseModel),
         ):
+            if type(section) is not dict:
+                raise ValueError(f"{where} must be a JSON object, got {section!r}")
             unknown = sorted(set(section) - {f.name for f in fields(known)})
             if unknown:
                 raise ValueError(f"unknown {where} keys: {unknown}")
-        for key, kind, what in (
-            ("sizes", list, "a list"),
-            ("modalities", list, "a list"),
-            ("replications", int, "an integer"),
-            ("master_seed", int, "an integer"),
-            ("heavy_metrics_max_n", int, "an integer"),
+        # exact types: JSON true and false load as bools, a subclass of int
+        number = (int, float)
+        for section, key, kinds, what in (
+            (payload, "sizes", (list,), "a list"),
+            (payload, "modalities", (list,), "a list"),
+            (payload, "replications", (int,), "an integer"),
+            (payload, "master_seed", (int,), "an integer"),
+            (payload, "heavy_metrics_max_n", (int,), "an integer"),
+            (params, "epsilon", number, "a number"),
+            (params, "bundle_scale", number, "a number"),
+            (params, "comember_inclusion", number + (type(None),), "a number or null"),
+            (params, "branching_pmf", (dict,), "an object"),
         ):
-            # exact types: JSON true and false load as bools, a subclass of int
-            if key in payload and type(payload[key]) is not kind:
-                raise ValueError(f"{key} must be {what}, got {payload[key]!r}")
-        if any(type(s) is not int for s in payload.get("sizes", [])):
+            if key in section and type(section[key]) not in kinds:
+                raise ValueError(f"{key} must be {what}, got {section[key]!r}")
+        if any(type(s) is not int for s in payload["sizes"]):
             raise ValueError(f"sizes must be integers, got {payload['sizes']!r}")
-        branching = params.get("branching_pmf")
-        kwargs = {}
-        if "epsilon" in params:
-            kwargs["epsilon"] = float(params["epsilon"])
-        if "bundle_scale" in params:
-            kwargs["bundle_scale"] = float(params["bundle_scale"])
+        kwargs = {k: float(params[k]) for k in ("epsilon", "bundle_scale") if k in params}
         if params.get("comember_inclusion") is not None:
             kwargs["comember_inclusion"] = float(params["comember_inclusion"])
-        if branching:
-            kwargs["branching_pmf"] = {int(k): float(v) for k, v in branching.items()}
+        if "branching_pmf" in params:
+            pmf = params["branching_pmf"]
+            if not all(k.isdecimal() and type(v) in number for k, v in pmf.items()):
+                raise ValueError(
+                    f"branching_pmf must map integer strings to numbers, got {pmf!r}"
+                )
+            kwargs["branching_pmf"] = {int(k): float(v) for k, v in pmf.items()}
         sigma2 = noise.get("sigma2", 1.0)
         return cls(
             sizes=tuple(payload["sizes"]),

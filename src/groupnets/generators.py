@@ -20,6 +20,7 @@ Generation is a pure function of ``(modality, n, params, seed)``.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -88,13 +89,19 @@ class ModalityParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if self.bundle_scale <= 0.0:
-            raise ValueError(f"bundle_scale must be positive, got {self.bundle_scale}")
+        if not 0.0 < self.bundle_scale < math.inf:
+            raise ValueError(f"bundle_scale must be positive and finite, got {self.bundle_scale}")
         if self.comember_inclusion is None:
             object.__setattr__(self, "comember_inclusion", 1.0 - self.epsilon)
         if not 0.0 < self.comember_inclusion < 1.0:
             raise ValueError(
                 f"comember_inclusion must lie in (0,1), got {self.comember_inclusion}"
+            )
+        weights = list(self.branching_pmf.values())
+        if not all(0.0 <= w < math.inf for w in weights) or not sum(weights) > 0.0:
+            raise ValueError(
+                "branching_pmf weights must be finite and nonnegative with positive sum, "
+                f"got {self.branching_pmf}"
             )
         if min(self.branching_pmf) < 2:
             raise ValueError("branching factors below 2 are not meaningful")
@@ -256,7 +263,9 @@ def bundle_edge_count(s_i: int, s_j: int, bundle_scale: float) -> int:
 
     At least 2, scaling with ``s_i*s_j``, capped at the bipartite slot count.
     """
-    return int(min(s_i * s_j, max(2, round(bundle_scale * s_i * s_j))))
+    slots = s_i * s_j
+    # capped before rounding: the product overflows to inf for a huge scale
+    return int(min(slots, max(2, round(min(bundle_scale * s_i * s_j, slots)))))
 
 
 def _scaffold(

@@ -87,6 +87,18 @@ def test_sweep_missing_sizes_is_computation_error(tmp_path):
     ('{"sizes": 10, "replications": 1}', "sizes must be a list"),
     ('{"sizes": [10], "replications": 1, "modalities": "bridge"}', "modalities must be a list"),
     ('{"sizes": [10], "replications": 1, "noise": {"sigma2": NaN}}', "finite and nonnegative"),
+    ('{"sizes": [10], "replications": 1, "params": {"branching_pmf": 5}}',
+     "branching_pmf must be an object"),
+    ('{"sizes": [10], "replications": 1, "params": {"bundle_scale": Infinity}}',
+     "bundle_scale must be positive and finite"),
+    ('{"sizes": [10], "replications": 1, "params": {"bundle_scale": NaN}}',
+     "bundle_scale must be positive and finite"),
+    ('{"sizes": [10], "replications": 1, "params": {"bundle_scale": true}}',
+     "bundle_scale must be a number"),
+    ('{"sizes": [10], "replications": 1, "params": {"epsilon": "0.1"}}',
+     "epsilon must be a number"),
+    ('{"replications": 1}', "missing required keys: ['sizes']"),
+    ('[10]', "config must be a JSON object"),
 ])
 def test_sweep_bad_config_is_one_error_line(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "cfg.json"

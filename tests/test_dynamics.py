@@ -31,6 +31,7 @@ def complete(n):
 K2 = Graph(2, [(0, 1)])
 PATH3 = Graph(3, [(0, 1), (1, 2)])
 STAR4 = Graph(4, [(0, 1), (0, 2), (0, 3)])
+STAR6 = Graph(6, [(0, v) for v in range(1, 6)])
 
 
 def random_connected(rng, n, p=0.5):
@@ -120,10 +121,28 @@ def test_solver_failures_raise_convergence_error(monkeypatch):
         consensus_spectrum(PATH3)
 
 
-def test_second_eigenvalue_closed_forms():
+def test_second_eigenvalue_closed_forms(monkeypatch):
     assert consensus_spectrum(K2)[0] == pytest.approx(0.0, abs=1e-9)
     assert consensus_spectrum(PATH3)[0] == pytest.approx(0.5, abs=1e-9)
     assert consensus_spectrum(complete(4))[0] == pytest.approx(0.0, abs=1e-9)
+    # the sparse solver: P3 has lambda2 = 0.5 above the laziness bound
+    # 1 - 2/(d_max + 1) = 1/3, so lambda2 alone is certified; the star K1,5
+    # has lambda2 = 0.5 below its bound 2/3 and needs the lambda_min run
+    # (lambda_min = -1/3)
+    calls = []
+    real = dynamics.eigsh
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs.get("which", "LM"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "eigsh", recorded)
+    monkeypatch.setattr(dynamics, "_DENSE_MAX_N", 0)
+    assert consensus_spectrum(PATH3)[0] == pytest.approx(0.5, abs=1e-9)
+    assert calls == ["LM"]
+    calls.clear()
+    assert consensus_spectrum(STAR6)[0] == pytest.approx(0.5, abs=1e-9)
+    assert calls == ["LM", "SA"]
 
 
 def test_eigen_oracle_small_graphs():

@@ -83,10 +83,24 @@ def test_config_json_rejects_unknown_keys(section, key):
     ("replications", True, "replications must be an integer"),
     ("master_seed", "5", "master_seed must be an integer"),
     ("heavy_metrics_max_n", 600.5, "heavy_metrics_max_n must be an integer"),
+    ("params.branching_pmf", 5, "branching_pmf must be an object"),
+    ("params.branching_pmf", {"two": 1.0}, "branching_pmf must map integer strings"),
+    ("params.branching_pmf", {"2": "1"}, "branching_pmf must map integer strings"),
+    ("params.branching_pmf", {"2": -1.0, "3": 1.0}, "finite and nonnegative"),
+    ("params.branching_pmf", {"2": math.nan, "3": 1.0}, "finite and nonnegative"),
+    ("params.branching_pmf", {"2": math.inf}, "finite and nonnegative"),
+    ("params.branching_pmf", {}, "finite and nonnegative with positive sum"),
+    ("params.bundle_scale", True, "bundle_scale must be a number"),
+    ("params.bundle_scale", math.inf, "bundle_scale must be positive and finite"),
+    ("params.bundle_scale", math.nan, "bundle_scale must be positive and finite"),
+    ("params.epsilon", "0.1", "epsilon must be a number"),
+    ("params.comember_inclusion", [0.5], "comember_inclusion must be a number or null"),
+    ("params", 5, "params must be a JSON object"),
 ])
 def test_config_json_rejects_wrong_types(key, value, message):
     payload = json.loads(SweepConfig(sizes=(20,), replications=1).to_json_text())
-    payload[key] = value
+    section, _, name = key.rpartition(".")
+    (payload[section] if section else payload)[name] = value
     with pytest.raises(ValueError, match=message):
         SweepConfig.from_json_text(json.dumps(payload))
 

@@ -1,11 +1,16 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from groupnets import generators, graphs
 from groupnets.generators import (
     MODALITIES,
+    GenerationError,
     GroupTree,
     ModalityParams,
     bundle_edge_count,
@@ -17,8 +22,8 @@ from groupnets.generators import (
     generate,
     uniform_spanning_tree,
 )
-from groupnets.graphs import Graph, average_clustering, is_connected
-from groupnets.partition import PowerLawSpec
+from groupnets.graphs import Graph, average_clustering, average_shortest_path, is_connected
+from groupnets.partition import PowerLawSpec, SizeSequence
 
 
 def home_group_map(mg):
@@ -50,6 +55,12 @@ def test_params_defaults():
         ModalityParams(epsilon=0.0)
     with pytest.raises(ValueError):
         ModalityParams(bundle_scale=-1.0)
+    for scale in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ModalityParams(bundle_scale=scale)
+    for pmf in ({2: -1.0, 3: 1.0}, {2: math.nan}, {2: math.inf}, {2: 0.0}, {}):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ModalityParams(branching_pmf=pmf)
     with pytest.raises(ValueError):
         ModalityParams(comember_inclusion=1.5)
 
@@ -125,6 +136,9 @@ def test_bundle_edge_count_rule():
     assert bundle_edge_count(10, 10, 0.05) == 5
     assert bundle_edge_count(3, 3, 10.0) == 9  # capped at the slot count
     assert bundle_edge_count(3, 4, 0.05) == 2
+    # (0.05 * 3) * 30 = 4.500000000000001 rounds up; 0.05 * 90 = 4.5 would round to 4
+    assert bundle_edge_count(3, 30, 0.05) == 5
+    assert bundle_edge_count(3, 3, 1.7976931348623157e308) == 9  # no overflow
 
 
 def test_bridge_cross_edge_count():
@@ -292,3 +306,150 @@ def test_er_block_mean_degree():
         g = er_block(10, 0.1, rng)
         degs.append(2 * g.edge_count / g.n)
     assert np.mean(degs) == pytest.approx(0.9 * 9, abs=0.1)
+
+
+GENERATORS = {
+    "bridge": gen_bridge,
+    "edge_bundle": gen_edge_bundle,
+    "comembership": gen_comembership,
+    "liaison": gen_liaison,
+}
+
+
+def assert_generator_invariants(mg, n, params):
+    """Partition, blocks and modality wiring of a generated graph, and its
+    average shortest path equal on the Dijkstra and block-cut paths."""
+    g = mg.graph
+    sizes = mg.group_sizes.sizes
+    assert sum(sizes) == n and min(sizes) >= 3
+    ends = np.cumsum((0,) + sizes)
+    assert mg.groups == tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:]))
+    for a, b in zip(ends, ends[1:]):
+        inside = [(u - a, v - a) for u, v in g.edges.tolist() if a <= u < b and a <= v < b]
+        assert is_connected(Graph(b - a, inside))
+    assert is_connected(g)
+    pairs = cross_edges_by_pair(mg)
+    k = mg.group_count
+    if mg.modality == "liaison":
+        assert g.n == n + len(mg.liaison_nodes)
+        assert not pairs
+        assert (k == 1) == (not mg.liaison_nodes)
+        # the groups and liaisons contract to a tree
+        assert g.edge_count - sum(len(e) for e in split_by_group(mg)) == k + len(mg.liaison_nodes) - 1
+    else:
+        assert g.n == n
+        assert set(pairs) == set(mg.tree.sorted_edges())
+        for (i, j), edges in pairs.items():
+            si, sj = sizes[i], sizes[j]
+            assert len(set(edges)) == len(edges)
+            if mg.modality == "bridge":
+                assert len(edges) == 1
+            elif mg.modality == "edge_bundle":
+                assert len(edges) == bundle_edge_count(si, sj, params.bundle_scale)
+            else:
+                assert len(edges) >= 3
+                assert len(set.intersection(*(set(e) for e in edges))) == 1
+        if mg.modality == "comembership":
+            assert len(mg.extra_memberships) == k - 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_ASP_DIJKSTRA_MAX_N", 0)
+        block_cut = average_shortest_path(g)
+        mp.setattr(graphs, "_ASP_DIJKSTRA_MAX_N", g.n)
+        assert block_cut == average_shortest_path(g)
+
+
+def split_by_group(mg):
+    """The edges inside each home group."""
+    home = home_group_map(mg)
+    inside = [[] for _ in mg.groups]
+    for u, v in mg.graph.edges.tolist():
+        if u in home and home.get(v) == home[u]:
+            inside[home[u]].append((u, v))
+    return inside
+
+
+def generate_with(modality, n, params, seed, spec=None):
+    return GENERATORS[modality](n, params, np.random.default_rng(seed), size_spec=spec)
+
+
+modalities = st.sampled_from(MODALITIES)
+seeds = st.integers(0, 2**32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(modalities, seeds)
+def test_generator_edge_case_n3(modality, seed):
+    mg = generate(modality, 3, seed=seed)
+    assert mg.group_count == 1
+    assert_generator_invariants(mg, 3, ModalityParams())
+
+
+@settings(max_examples=25, deadline=None)
+@given(modalities, seeds, st.integers(3, 40))
+def test_generator_edge_case_single_group(modality, seed, n):
+    mg = generate_with(modality, n, ModalityParams(), seed, PowerLawSpec(n, support_min=n))
+    assert mg.group_count == 1
+    assert_generator_invariants(mg, n, ModalityParams())
+
+
+@settings(max_examples=25, deadline=None)
+@given(modalities, seeds, st.integers(3, 20))
+def test_generator_edge_case_two_groups(modality, seed, s):
+    mg = generate_with(modality, 2 * s, ModalityParams(), seed, PowerLawSpec(s, support_min=s))
+    assert mg.group_count == 2
+    assert_generator_invariants(mg, 2 * s, ModalityParams())
+
+
+@settings(max_examples=25, deadline=None)
+@given(modalities, seeds, st.integers(1, 15))
+def test_generator_edge_case_all_groups_of_three(modality, seed, k):
+    mg = generate_with(modality, 3 * k, ModalityParams(), seed, PowerLawSpec(3, support_min=3))
+    assert mg.group_sizes.sizes == (3,) * k
+    assert_generator_invariants(mg, 3 * k, ModalityParams())
+
+
+@settings(max_examples=25, deadline=None)
+@given(modalities, seeds, st.integers(30, 120), st.lists(st.integers(3, 5), max_size=8), st.data())
+def test_generator_edge_case_one_giant_group(modality, seed, giant, small, data):
+    sizes = list(small)
+    sizes.insert(data.draw(st.integers(0, len(small))), giant)
+    n = sum(sizes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "sample_group_sizes",
+                   lambda total, rng, spec: SizeSequence.from_sizes(sizes, total))
+        mg = generate_with(modality, n, ModalityParams(), seed)
+    assert mg.group_sizes.sizes == tuple(sizes)
+    assert_generator_invariants(mg, n, ModalityParams())
+
+
+@settings(max_examples=25, deadline=None)
+@given(modalities, seeds, st.integers(3, 60), st.floats(1e-12, 1e-3))
+def test_generator_edge_case_epsilon_near_zero(modality, seed, n, epsilon):
+    params = ModalityParams(epsilon=epsilon)
+    assert_generator_invariants(generate_with(modality, n, params, seed), n, params)
+
+
+@settings(max_examples=25, deadline=None)
+@given(modalities, seeds, st.integers(3, 30), st.floats(0.8, 1.0 - 1e-9))
+def test_generator_edge_case_epsilon_near_one(modality, seed, n, epsilon):
+    # sparse blocks are rarely connected: the generator either gives up
+    # with a GenerationError or returns a graph that keeps every invariant
+    params = ModalityParams(epsilon=epsilon)
+    try:
+        mg = generate_with(modality, n, params, seed)
+    except GenerationError:
+        return
+    assert_generator_invariants(mg, n, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(6, 60),
+       st.one_of(st.floats(5e-324, 1e-6), st.floats(1e3, 1.7976931348623157e308)))
+def test_generator_edge_case_extreme_bundle_scale(seed, n, bundle_scale):
+    params = ModalityParams(bundle_scale=bundle_scale)
+    mg = generate_with("edge_bundle", n, params, seed)
+    assert_generator_invariants(mg, n, params)
+    sizes = mg.group_sizes.sizes
+    for (i, j), edges in cross_edges_by_pair(mg).items():
+        # the floor of two edges, or every member pair of the two groups
+        assert len(edges) == (2 if bundle_scale < 1.0 else sizes[i] * sizes[j])

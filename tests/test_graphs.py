@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
+from groupnets import graphs
 from groupnets.dynamics import NoiseModel
 from groupnets.experiments import measure
 from groupnets.graphs import (
@@ -46,6 +47,20 @@ def bfs_distances(g, source):
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def dijkstra_asp(g):
+    """average_shortest_path through the full distance matrix, at any n."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_ASP_DIJKSTRA_MAX_N", g.n)
+        return average_shortest_path(g)
+
+
+def block_cut_asp(g):
+    """average_shortest_path through the biconnected blocks, at any n."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_ASP_DIJKSTRA_MAX_N", 0)
+        return average_shortest_path(g)
 
 
 def test_construction_validation():
@@ -240,6 +255,13 @@ def edge_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(edge_lists())
 def test_graph_matches_networkx(case):
+    # crossover 0: every graph takes the block-cut path of average_shortest_path
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_ASP_DIJKSTRA_MAX_N", 0)
+        check_graph_against_networkx(case)
+
+
+def check_graph_against_networkx(case):
     n, pairs = case
     g = Graph(n, pairs)
     canon = sorted({(min(u, v), max(u, v)) for u, v in pairs})
@@ -263,9 +285,16 @@ def test_graph_matches_networkx(case):
     assert degree_histogram(g) == {d: c for d, c in enumerate(hist) if c}
     assert is_connected(g) == nx.is_connected(G)
     assert np.array_equal(g.to_dense(), nx.to_numpy_array(G, nodelist=range(n)))
-    if n >= 2 and nx.is_connected(G):
+    if n < 2:
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            average_shortest_path(g)
+    elif nx.is_connected(G):
         assert average_shortest_path(g) == pytest.approx(
             nx.average_shortest_path_length(G), rel=1e-12)
+        assert average_shortest_path(g) == dijkstra_asp(g)
+    else:
+        with pytest.raises(ValueError, match="disconnected"):
+            average_shortest_path(g)
     assert average_clustering(g) == pytest.approx(nx.average_clustering(G), rel=1e-12, abs=1e-15)
 
 
@@ -279,3 +308,46 @@ def test_graph_rejects_self_loops_and_out_of_range(case, node, beyond):
         Graph(n, pairs + [(node % n, n - 1 + beyond)])
     with pytest.raises(ValueError, match="out of range"):
         Graph(n, [(-beyond, node % n)] + pairs)
+
+
+@st.composite
+def connected_edge_lists(draw):
+    """(n, pairs) of a connected graph: a random tree plus random extra pairs."""
+    n = draw(st.integers(2, 30))
+    pairs = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    node = st.integers(0, n - 1)
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    return n, pairs + draw(st.lists(pair, max_size=2 * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_edge_lists())
+def test_blocks_match_networkx(case):
+    n, pairs = case
+    g = Graph(n, pairs)
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(pairs)
+    block, node, weight, edge_block = graphs._blocks(g)
+    members = {}
+    for b, v in zip(block.tolist(), node.tolist()):
+        members.setdefault(b, set()).add(v)
+    want = {frozenset(c) for c in nx.biconnected_components(G)}
+    assert {frozenset(m) for m in members.values()} == want
+    assert len(members) == len(want)  # no block found twice
+    # the edges of a block join two of its members
+    for (u, v), b in zip(g.edges.tolist(), edge_block.tolist()):
+        assert {u, v} <= members[b]
+    # w_B(x): the nodes left with x once the other members of B are removed
+    for b, v, w in zip(block.tolist(), node.tolist(), weight.tolist()):
+        rest = G.subgraph(set(G) - (members[b] - {v}))
+        assert w == len(nx.node_connected_component(rest, v))
+
+
+@pytest.mark.parametrize("modality", ["bridge", "edge_bundle", "comembership", "liaison"])
+def test_block_cut_asp_equals_dijkstra_at_scale(modality):
+    from groupnets.generators import generate
+
+    g = generate(modality, 2000, seed=11).graph
+    assert g.n >= 2000
+    assert block_cut_asp(g) == dijkstra_asp(g)
