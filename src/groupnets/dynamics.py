@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .graphs import Graph, is_connected
+from .graphs import _EDGE_SLICE, Graph, _one_component, _row_slices, is_connected
 
 __all__ = [
     "ConsensusSystem",
@@ -167,8 +167,11 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
     the adjacency; delta_ss is None without ``noise``.
 
     rho2 alone above ``_DENSE_MAX_N`` nodes needs no n-by-n array:
-    shift-invert Lanczos about 1 + 1e-3 gives the two largest eigenvalues,
-    1 and lambda2, in a few sparse solves even when 1 - lambda2 is tiny.
+    shift-invert Lanczos about 1 + 1e-3, on the inverse of S - (1 + 1e-3) I
+    from one sparse LU factorization, gives the two largest eigenvalues, 1
+    and lambda2, in a few solves even when 1 - lambda2 is tiny.  S is
+    shifted in place and dropped once factored, so the graph, S and the LU
+    are the largest arrays held at once.
     W is lazy: W = a I + (1 - a) W' with a = 1/(d_max + 1) and W'
     stochastic, so lambda_min >= 2a - 1, and lambda2 >= 1 - 2a certifies
     rho2 = lambda2; otherwise one more Lanczos run gives lambda_min.
@@ -180,25 +183,34 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
     (Levin, Peres and Wilmer, Markov Chains and Mixing Times, spectral
     representation of reversible chains).
     """
-    if not is_connected(g):
-        raise ValueError("consensus metrics require a connected graph (irreducibility)")
     n = g.n
-    S = g.to_csr() + sp.identity(n, format="csr")
-    d1 = np.diff(S.indptr)  # row i of A + I holds d_i + 1 ones
-    # the exact integer product d1_i d1_j keeps S exactly symmetric
-    S.data = 1.0 / np.sqrt(d1[np.repeat(np.arange(n), d1)] * d1[S.indices])
-    pi = d1 / d1.sum()
+    S, d1, diag = _symmetrized(g)
+    # S has the pattern of A + I, so its components are the graph's
+    if n == 0 or not _one_component(S):
+        raise ValueError("consensus metrics require a connected graph (irreducibility)")
     sigma2 = None if noise is None else noise.variances(n)
     if sigma2 is None and n > _DENSE_MAX_N:
         # a fixed-seed start: deterministic, and generic with respect to graph
         # symmetries (a structured start can be orthogonal to an eigenvector)
         v0 = np.random.default_rng(0x5EED).standard_normal(n)
+        # the LU of a dense group is as large as the group's part of S, and S
+        # is not needed again unless the certificate fails
+        shift = 1.0 + 1e-3
+        S.data[diag] -= shift
+        # S is symmetric, so its CSR arrays read as CSC are S itself
+        lu = splu(S.T)
+        del S
+        # the eigenvalues of S nearest the shift are those of largest
+        # magnitude of (S - shift I)^-1, 1 / (lambda - shift)
+        inverse = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
         try:
-            lam2 = float(eigsh(S.tocsc(), k=2, sigma=1.0 + 1e-3, v0=v0,
-                               return_eigenvectors=False).min())
+            mu = eigsh(inverse, k=2, v0=v0, return_eigenvectors=False)
+            lam2 = float((shift + 1.0 / mu).min())
             if lam2 >= 1.0 - 2.0 / d1.max():
                 return lam2, None
-            lam_min = eigsh(S, k=1, which="SA", v0=v0, return_eigenvectors=False)
+            del lu, inverse
+            lam_min = eigsh(_symmetrized(g)[0], k=1, which="SA", v0=v0,
+                            return_eigenvectors=False)
         except ArpackError as exc:
             raise ConvergenceError(f"Lanczos iteration failed: {exc}") from exc
         return max(lam2, -float(lam_min[0])), None
@@ -214,7 +226,43 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
     if sigma2 is None:
         return rho2, None
     excess = U[:, :-1] ** 2 @ (1.0 / (1.0 - lam[:-1]))
+    pi = d1 / d1.sum()
     return rho2, float(pi * sigma2 @ excess)
+
+
+def _symmetrized(g: Graph) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """S = (D+I)^-1/2 (A+I) (D+I)^-1/2 in CSR form, the row counts d + 1 of
+    A + I, and the position of each diagonal entry in ``S.data``.
+
+    S is built from the adjacency pattern a slice of rows at a time, with no
+    other array as large as S.
+    """
+    n = g.n
+    a_indptr, a_indices = g.pattern()
+    deg = np.diff(a_indptr)
+    d1 = deg + 1
+    d = d1.astype(np.float64)
+    indptr = a_indptr + np.arange(n + 1, dtype=np.int32)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    diag = np.empty(n, dtype=np.int64)
+    cuts = _row_slices(a_indptr, _EDGE_SLICE)
+    for lo, hi in zip(cuts, cuts[1:]):
+        p, q = a_indptr[lo], a_indptr[hi]
+        rows = np.repeat(np.arange(lo, hi), deg[lo:hi])
+        cols = a_indices[p:q]
+        above = cols > rows
+        # entry k of A, in row i, moves past the i diagonal entries of the rows
+        # before it, and past its own row's if it lies above the diagonal
+        at = np.arange(p, q) + rows + above
+        indices[at] = cols
+        # the exact integer product d1_i d1_j keeps S exactly symmetric
+        data[at] = d[rows] * d[cols]
+        diag[lo:hi] = indptr[lo + 1:hi + 1] - 1 - np.bincount(rows[above] - lo, minlength=hi - lo)
+    indices[diag] = np.arange(n)
+    data[diag] = d * d
+    np.divide(1.0, np.sqrt(data, out=data), out=data)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n)), d1, diag
 
 
 def convergence_time(rho2: float) -> float:

@@ -60,6 +60,9 @@ _MODALITY_CODES = {"bridge": 1, "edge_bundle": 2, "comembership": 3, "liaison": 
 _MAX_BLOCK_ATTEMPTS = 1000
 _MAX_PARTITION_ATTEMPTS = 1000
 _MAX_INCLUSION_ATTEMPTS = 10000
+# node pairs drawn at once in a block, and edges per union-find chunk
+_PAIR_CHUNK = 1 << 16
+_UNION_CHUNK = 1 << 12
 
 
 class GenerationError(RuntimeError):
@@ -194,25 +197,40 @@ def _connected(size: int, us: np.ndarray, vs: np.ndarray) -> bool:
         return x
 
     remaining = size - 1
-    for u, v in zip(us.tolist(), vs.tolist()):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            remaining -= 1
-            if remaining == 0:
-                return True
+    # a dense block connects within its first few chunks of edges, so the
+    # rest is never turned into Python ints
+    for lo in range(0, len(us), _UNION_CHUNK):
+        hi = lo + _UNION_CHUNK
+        for u, v in zip(us[lo:hi].tolist(), vs[lo:hi].tolist()):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                remaining -= 1
+                if remaining == 0:
+                    return True
     return remaining == 0
 
 
 def _er_block_edges(size: int, epsilon: float, rng: np.random.Generator) -> np.ndarray:
-    """Edge array of a connectivity-conditioned G(size, 1-epsilon) block."""
+    """int32 edge array of a connectivity-conditioned G(size, 1-epsilon) block."""
     if size == 1:
-        return np.empty((0, 2), dtype=np.int64)
-    iu, iv = np.triu_indices(size, 1)
+        return np.empty((0, 2), dtype=np.int32)
+    # the pairs (i, j), i < j, in row-major order; pair f of row i is
+    # (i, i + 1 + f - start[i]).  They are drawn a chunk of pairs at a time,
+    # which takes the same random stream as one draw over all of them but
+    # builds no size-squared index array
+    rows = np.arange(size, dtype=np.int64)
+    start = rows * (2 * size - rows - 1) // 2
+    pairs = int(start[-1])
     for _ in range(_MAX_BLOCK_ATTEMPTS):
-        mask = rng.random(iu.shape[0]) < 1.0 - epsilon
-        if _connected(size, iu[mask], iv[mask]):
-            return np.column_stack((iu[mask], iv[mask]))
+        parts = []
+        for lo in range(0, pairs, _PAIR_CHUNK):
+            f = np.flatnonzero(rng.random(min(_PAIR_CHUNK, pairs - lo)) < 1.0 - epsilon) + lo
+            i = np.searchsorted(start, f, side="right") - 1
+            parts.append(np.column_stack((i, f - start[i] + i + 1)).astype(np.int32))
+        e = np.concatenate(parts)
+        if _connected(size, e[:, 0], e[:, 1]):
+            return e
     raise GenerationError(
         f"no connected block of size {size} within {_MAX_BLOCK_ATTEMPTS} attempts"
     )
@@ -280,15 +298,22 @@ def _scaffold(
     edges: list[np.ndarray] = []
     offset = 0
     for s in seq.sizes:
-        edges.append(_er_block_edges(s, params.epsilon, rng) + offset)
+        block = _er_block_edges(s, params.epsilon, rng)
+        block += offset
+        edges.append(block)
         groups.append(tuple(range(offset, offset + s)))
         offset += s
     return seq, tuple(groups), edges
 
 
 def _concat(parts: list) -> np.ndarray:
-    """One ``(m, 2)`` edge array from edge arrays and lists of pairs."""
-    return np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in parts])
+    """One int32 ``(m, 2)`` edge array from edge arrays and lists of pairs.
+
+    Empties ``parts``, so that the pieces are freed before the graph is built.
+    """
+    arrays = [p if isinstance(p, np.ndarray) else np.asarray(p, dtype=np.int64) for p in parts]
+    parts.clear()
+    return np.concatenate([a.reshape(-1, 2) for a in arrays], dtype=np.int32)
 
 
 def _draw_anchors(

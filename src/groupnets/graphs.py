@@ -1,9 +1,12 @@
 """Simple undirected graphs and the structural metrics used for comparisons.
 
 Graphs are immutable once built: nodes are ``0..n-1``, edges are
-unordered pairs with no self-loops or duplicates.  A graph holds one
-canonical edge array and the sparse adjacency built from it; every metric
-runs on those arrays.
+unordered pairs with no self-loops or duplicates.  A graph holds the
+pattern of its sparse adjacency (row pointers and sorted column indices);
+its edge array and its CSR matrix are read from that, and every metric
+runs on them.  The memory of a metric on a graph of a few dense groups
+follows the graph's edge count, so the passes over all edges go a slice
+of rows at a time and keep no temporary as large as the graph.
 """
 
 from __future__ import annotations
@@ -30,24 +33,36 @@ __all__ = [
 # Largest n at which average_shortest_path sums the full distance matrix;
 # above it the block-cut sum is faster (measured crossover, one BLAS thread)
 _ASP_DIJKSTRA_MAX_N = 100
-# rows of one block-diagonal distance batch of the block-cut sum
+# rows of one block-diagonal distance batch of the block-cut sum, and the
+# distances one shortest-path call computes at most (unless one row is longer)
 _ASP_BATCH_NODES = 256
+_ASP_DIST_CELLS = 1 << 18
+# two-step path ends counted in one slice of average_clustering
+_CLUSTERING_ENTRIES = 1 << 19
+# adjacency entries read in one slice of rows by the edge-wise passes
+_EDGE_SLICE = 1 << 16
+# largest adjacency (in stored entries) whose CSR matrix a Graph keeps
+_CSR_CACHE_ENTRIES = 1 << 16
 
 
 class Graph:
     """Undirected simple graph on ``n`` nodes.
 
-    ``edges`` is a read-only ``(m, 2)`` int64 array of the distinct pairs
-    ``(u, v)`` with ``u < v``, in lexicographic order.
+    The graph is held as the pattern of its symmetric sparse adjacency
+    alone (see ``pattern``).  ``edges`` reads from it a read-only ``(m, 2)``
+    int64 array of the distinct pairs ``(u, v)`` with ``u < v``, in
+    lexicographic order, on each access.
     """
 
-    __slots__ = ("n", "edges", "_csr")
+    __slots__ = ("n", "_indptr", "_indices", "_csr")
 
     def __init__(self, n: int, edges: ArrayLike):
         if n < 0:
             raise ValueError("node count must be nonnegative")
         self.n = n = int(n)
-        e = np.asarray(edges, dtype=np.int64)
+        e = np.asarray(edges)
+        if e.dtype != np.int32:  # the generators' edge arrays are int32
+            e = np.asarray(e, dtype=np.int64)
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
@@ -59,33 +74,77 @@ class Graph:
         if outside.any():
             u, v = e[outside.argmax()]
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        # pair (u, v), u < v, as the key u*n + v: unique keys sort lexicographically
-        keys = np.unique(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
-        u, v = keys // n, keys % n
-        self.edges = np.column_stack((u, v))
-        self.edges.flags.writeable = False
-        # both directions of every edge, sorted by (row, column)
-        arcs = np.sort(np.concatenate((keys, v * n + u)))
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(arcs // n, minlength=n), out=indptr[1:])
-        self._csr = sp.csr_matrix(
-            (np.ones(arcs.size), (arcs % n).astype(np.int32), indptr), shape=(n, n)
-        )
+        # pair (u, v), u < v, as the key u*n + v: unique keys sort lexicographically.
+        # The arrays below are sorted and reduced in place: on a graph of a few
+        # dense groups they are as large as the graph itself
+        keys = np.minimum(e[:, 0], e[:, 1], dtype=np.int64)
+        keys *= n
+        keys += np.maximum(e[:, 0], e[:, 1], dtype=np.int64)
+        keys.sort()
+        repeat = keys[1:] == keys[:-1]
+        if repeat.any():
+            keys = np.delete(keys, np.flatnonzero(repeat) + 1)
+        del repeat
+        m = keys.size
+        # both directions of every edge, (u, v) and (v, u), sorted by (row, column)
+        arcs = np.empty(2 * m, dtype=np.int64)
+        arcs[:m] = keys
+        np.remainder(keys, n, out=arcs[m:])
+        arcs[m:] *= n
+        keys //= n
+        arcs[m:] += keys
+        del keys
+        arcs.sort()
+        self._indptr = np.searchsorted(arcs, np.arange(n + 1) * n).astype(np.int32)
+        np.remainder(arcs, n, out=arcs)
+        self._indices = arcs.astype(np.int32)
+        self._csr = None
+
+    @property
+    def edges(self) -> np.ndarray:
+        e = np.empty((self.edge_count, 2), dtype=np.int64)
+        at = 0
+        for u, v in _edge_slices(self):
+            e[at:at + u.size, 0] = u
+            e[at:at + u.size, 1] = v
+            at += u.size
+        e.flags.writeable = False
+        return e
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self._indices.size // 2
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self._csr.indptr)
+        return np.diff(self._indptr)
+
+    def pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """The int32 ``indptr`` and ``indices`` of the adjacency in CSR form.
+
+        Row i's neighbours, ascending, are ``indices[indptr[i]:indptr[i + 1]]``.
+        The arrays are the graph's own, shared with ``to_csr``: read them only.
+        """
+        return self._indptr, self._indices
 
     def to_csr(self) -> sp.csr_matrix:
-        """Symmetric binary adjacency in CSR form, indices sorted within rows."""
-        return self._csr
+        """Symmetric binary adjacency in CSR form, indices sorted within rows.
+
+        A graph of up to ``_CSR_CACHE_ENTRIES`` entries keeps the matrix; a
+        larger one builds its unit values on each call, so that they are not
+        held through the work of the metrics that need none.
+        """
+        if self._csr is not None:
+            return self._csr
+        csr = sp.csr_matrix(
+            (np.ones(self._indices.size), self._indices, self._indptr), shape=(self.n, self.n)
+        )
+        if self._indices.size <= _CSR_CACHE_ENTRIES:
+            self._csr = csr
+        return csr
 
     def to_dense(self) -> np.ndarray:
         """Dense binary adjacency matrix."""
-        return self._csr.toarray()
+        return self.to_csr().toarray()
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -95,13 +154,38 @@ def is_connected(g: Graph) -> bool:
     """True iff the graph has exactly one connected component."""
     if g.n == 0:
         raise ValueError("connectivity undefined on the empty graph")
+    return _one_component(g.to_csr())
+
+
+def _one_component(a: sp.csr_matrix) -> bool:
+    """True iff a symmetric sparse matrix's graph has exactly one component."""
     # every arc has its reverse, so strong components are the undirected ones;
     # asking for those skips scipy's symmetrising copy (12 rather than 90 us
     # a call on a 30-node graph)
-    count = csgraph.connected_components(
-        g.to_csr(), directed=True, connection="strong", return_labels=False
-    )
-    return count == 1
+    return csgraph.connected_components(a, directed=True, connection="strong",
+                                        return_labels=False) == 1
+
+
+def _row_slices(cumulative: np.ndarray, budget: int) -> list[int]:
+    """Row bounds ``0 = r_0 < ... = n`` cutting rows into slices of about ``budget``.
+
+    ``cumulative[r]`` is the amount held by rows below r (an ``indptr``, say);
+    a row holding more than ``budget`` is a slice of its own.
+    """
+    cuts = np.searchsorted(cumulative, np.arange(budget, cumulative[-1], budget))
+    return np.unique(np.concatenate(([0], cuts, [cumulative.size - 1]))).tolist()
+
+
+def _edge_slices(g: Graph):
+    """The edges ``(u, v)``, u < v, in lexicographic order, as int32 arrays ``u, v``
+    read from the upper triangle of the adjacency a slice of rows at a time."""
+    indptr, indices = g.pattern()
+    cuts = _row_slices(indptr, _EDGE_SLICE)
+    for lo, hi in zip(cuts, cuts[1:]):
+        u = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(indptr[lo:hi + 1]))
+        v = indices[indptr[lo]:indptr[hi]]
+        upper = v > u
+        yield u[upper], v[upper]
 
 
 def average_shortest_path(g: Graph) -> float:
@@ -118,7 +202,8 @@ def average_shortest_path(g: Graph) -> float:
 
     where w_B(x) counts the nodes that reach B through x.  Blocks of two
     nodes have d = 1; the others get their distances in block-diagonal
-    batches of about ``_ASP_BATCH_NODES`` rows.  No n-by-n array is
+    batches of about ``_ASP_BATCH_NODES`` rows, a slice of sources at a
+    time.  No n-by-n array, nor a square one for a large block, is
     allocated, and the integer sum gives the same float as the dense path.
     """
     if g.n < 2:
@@ -137,14 +222,30 @@ def average_shortest_path(g: Graph) -> float:
     block, node, weight = block[big], node[big], weight[big]
     if block.size:
         # the sorted (block, node) keys give every membership a row of one
-        # block-diagonal adjacency
+        # block-diagonal adjacency, holding each edge once, from its smaller
+        # end's row: the search below reads it as undirected
         key = block * g.n + node
-        inner = size[edge_block] > 2
-        e, eb = g.edges[inner], edge_block[inner] * g.n
-        rows = np.searchsorted(key, eb + e[:, 0])
-        cols = np.searchsorted(key, eb + e[:, 1])
-        adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(key.size, key.size))
-        # cut the rows into batches at block starts, about _ASP_BATCH_NODES each
+        inner = size > 2
+        rows, cols, at = [], [], 0
+        for u, v in _edge_slices(g):
+            eb = edge_block[at:at + u.size]
+            at += u.size
+            keep = inner[eb]
+            offset = eb[keep] * g.n
+            rows.append(np.searchsorted(key, u[keep] + offset).astype(np.int32))
+            cols.append(np.searchsorted(key, v[keep] + offset).astype(np.int32))
+        del edge_block
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        indptr = np.zeros(key.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=key.size), out=indptr[1:])
+        indices = cols[np.argsort(rows, kind="stable")]
+        del rows, cols
+        # unit weights: the same distances as an unweighted search, without
+        # the unit weights it would allocate on every call
+        ones = np.ones(indices.size)
+        # cut the rows into batches at block starts, about _ASP_BATCH_NODES
+        # each; a batch's sources go in slices of at most _ASP_DIST_CELLS
+        # distances, so a giant block never takes a square distance matrix
         starts = np.flatnonzero(np.diff(key // g.n, prepend=-1))
         cuts = [0]
         for s in starts[1:].tolist():
@@ -152,12 +253,17 @@ def average_shortest_path(g: Graph) -> float:
                 cuts.append(s)
         cuts.append(key.size)
         for lo, hi in zip(cuts, cuts[1:]):
-            dist = csgraph.shortest_path(
-                adj[lo:hi, lo:hi], method="D", unweighted=True, directed=False
+            p, q = indptr[lo], indptr[hi]
+            adj = sp.csr_matrix(
+                (ones[p:q], indices[p:q] - lo, indptr[lo:hi + 1] - p), shape=(hi - lo, hi - lo)
             )
-            dist[np.isinf(dist)] = 0.0  # pairs in different blocks
             w = weight[lo:hi]
-            total += int(w @ (dist.astype(np.int64) @ w))
+            step = max(1, _ASP_DIST_CELLS // (hi - lo))
+            for a in range(0, hi - lo, step):
+                dist = csgraph.shortest_path(adj, method="D", directed=False,
+                                             indices=np.arange(a, min(a + step, hi - lo)))
+                dist[np.isinf(dist)] = 0.0  # pairs in different blocks
+                total += int(w[a:a + step] @ (dist.astype(np.int64) @ w))
     return total / (g.n * (g.n - 1))
 
 
@@ -179,8 +285,8 @@ def _blocks(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     order, parent = csgraph.depth_first_order(csr, 0, directed=True, return_predecessors=True)
     if order.size < n:
         raise ValueError("graph is disconnected: unreachable pair encountered")
-    pre = np.empty(n, dtype=np.int64)
-    pre[order] = np.arange(n)
+    pre = np.empty(n, dtype=np.int32)
+    pre[order] = np.arange(n, dtype=np.int32)
     # the lowest preorder number among each node and its neighbours; the
     # tree parent counts too, which leaves the test low[v] >= pre[parent] intact
     low = np.minimum(pre, np.minimum.reduceat(pre[csr.indices], csr.indptr[:-1])).tolist()
@@ -211,9 +317,13 @@ def _blocks(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     weight = np.concatenate((hang[child], n - size[first]))
     rank = np.argsort(block * n + node)
     # every edge joins a node to an ancestor; it lies in the block of the
-    # tree arc into the deeper end
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    edge_block = label[np.where(pre[u] > pre[v], u, v)]
+    # tree arc into the deeper end, the one later in the order
+    by_pre = label[order]
+    edge_block = np.empty(g.edge_count, dtype=np.int64)
+    at = 0
+    for u, v in _edge_slices(g):
+        edge_block[at:at + u.size] = by_pre[np.maximum(pre[u], pre[v])]
+        at += u.size
     return block[rank], node[rank], weight[rank], edge_block
 
 
@@ -225,9 +335,18 @@ def average_clustering(g: Graph) -> float:
         return 0.0
     a = g.to_csr()
     deg = g.degrees().astype(np.float64)
-    # t[i] = sum over neighbors j of |N(i) & N(j)| = 2 * (edges among neighbors of i)
-    paths = a @ a
-    t = np.asarray(paths.multiply(a).sum(axis=1)).ravel()
+    # t[i] = sum over neighbors j of |N(i) & N(j)| = 2 * (edges among neighbors of i).
+    # A group of s nodes has s**2 paths of length two, so the rows go in
+    # slices whose paths reach about _CLUSTERING_ENTRIES nodes in all; a
+    # row's paths reach at most n
+    cuts = [0, g.n]
+    if g.n * g.n > _CLUSTERING_ENTRIES:
+        reach = np.concatenate(([0.0], np.cumsum(np.minimum(a @ deg, g.n))))
+        cuts = _row_slices(reach, _CLUSTERING_ENTRIES)
+    t = np.empty(g.n)
+    for lo, hi in zip(cuts, cuts[1:]):
+        rows = a if hi - lo == g.n else a[lo:hi]
+        t[lo:hi] = np.asarray((rows @ a).multiply(rows).sum(axis=1)).ravel()
     denom = deg * (deg - 1.0)
     coeffs = np.divide(t, denom, out=np.zeros_like(t), where=denom > 0)
     return float(coeffs.mean())

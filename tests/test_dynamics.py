@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from groupnets import dynamics
@@ -143,6 +144,26 @@ def test_second_eigenvalue_closed_forms(monkeypatch):
     calls.clear()
     assert consensus_spectrum(STAR6)[0] == pytest.approx(0.5, abs=1e-9)
     assert calls == ["LM", "SA"]
+
+
+def test_symmetrized_matches_scaled_adjacency(monkeypatch):
+    # S = (D+I)^-1/2 (A+I) (D+I)^-1/2, array for array, with the diagonal
+    # positions; built in slices of a few entries as well as whole
+    rng = np.random.default_rng(4)
+    graphs_ = [random_connected(rng, int(rng.integers(2, 40))) for _ in range(30)]
+    graphs_.append(generate("comembership", 300, seed=3).graph)
+    for slice_entries in (1 << 16, 5):
+        monkeypatch.setattr(dynamics, "_EDGE_SLICE", slice_entries)
+        for g in graphs_:
+            ref = g.to_csr() + scipy.sparse.identity(g.n, format="csr")
+            d1 = np.diff(ref.indptr)
+            rows = np.repeat(np.arange(g.n), d1)
+            ref.data = 1.0 / np.sqrt(d1[rows] * d1[ref.indices])
+            S, got_d1, diag = dynamics._symmetrized(g)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(S, name), getattr(ref, name)), name
+            assert np.array_equal(got_d1, d1)
+            assert np.array_equal(diag, np.flatnonzero(ref.indices == rows))
 
 
 def test_eigen_oracle_small_graphs():

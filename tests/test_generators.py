@@ -88,6 +88,24 @@ def test_er_block_always_connected():
         assert is_connected(er_block(int(rng.integers(3, 12)), 0.4, rng))
 
 
+def test_er_block_draws_pairs_in_row_major_order(monkeypatch):
+    # the pairs (i, j), i < j, drawn a chunk at a time, are those of one draw
+    # over np.triu_indices from the same stream
+    def reference(size, epsilon, rng):
+        iu, iv = np.triu_indices(size, 1)
+        while True:
+            keep = rng.random(iu.size) < 1.0 - epsilon
+            g = Graph(size, np.column_stack((iu[keep], iv[keep])))
+            if is_connected(g):
+                return g.edges
+
+    monkeypatch.setattr(generators, "_PAIR_CHUNK", 7)
+    monkeypatch.setattr(generators, "_UNION_CHUNK", 3)
+    for size, epsilon, seed in ((2, 0.5, 0), (3, 0.3, 1), (9, 0.6, 2), (40, 0.1, 3), (25, 0.8, 4)):
+        got = er_block(size, epsilon, np.random.default_rng(seed)).edges
+        assert np.array_equal(got, reference(size, epsilon, np.random.default_rng(seed)))
+
+
 def test_er_block_validation():
     with pytest.raises(ValueError):
         er_block(0, 0.1, np.random.default_rng(0))

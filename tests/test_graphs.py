@@ -261,6 +261,20 @@ def test_graph_matches_networkx(case):
         check_graph_against_networkx(case)
 
 
+@settings(max_examples=100, deadline=None)
+@given(edge_lists())
+def test_graph_matches_networkx_in_slices(case):
+    # every edge pass, S build, distance batch and clustering slice cut into
+    # pieces of a few entries, and the CSR built on each call
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_ASP_DIJKSTRA_MAX_N", 0)
+        mp.setattr(graphs, "_EDGE_SLICE", 5)
+        mp.setattr(graphs, "_CSR_CACHE_ENTRIES", 0)
+        mp.setattr(graphs, "_ASP_DIST_CELLS", 3)
+        mp.setattr(graphs, "_CLUSTERING_ENTRIES", 7)
+        check_graph_against_networkx(case)
+
+
 def check_graph_against_networkx(case):
     n, pairs = case
     g = Graph(n, pairs)
