@@ -10,9 +10,12 @@ Each quantity has one entry point taking a ``Graph``: ``spectral_radius``
 gives the dominant adjacency eigenvalue, from which
 ``propagation_growth_rates`` gives SI/SIS growth; ``consensus_spectrum``
 gives the second largest eigenvalue modulus of ``W`` and the steady-state
-disagreement under noise from the eigenpairs of ``S``.  On large graphs
-rho2 alone comes from shift-invert Lanczos on the sparse ``S`` with no
-n-by-n array; delta_ss always takes a dense eigendecomposition.  The dense
+disagreement under noise.  It has two regimes.  Up to ``_DENSE_MAX_N``
+nodes one dense eigendecomposition of ``S`` gives both.  Above it no
+dense eigensolve runs and no n-by-n array is allocated: rho2 comes from
+shift-invert Lanczos on the sparse ``S``, and delta_ss from effective
+resistances summed over the biconnected blocks (Tetali's hitting-time
+formula), one small Cholesky factorization per block.  The dense
 Kemeny-Snell hitting times (``hitting_times``, ``steady_state_deviation``)
 and the simulators are their reference.
 """
@@ -26,7 +29,15 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .graphs import _EDGE_SLICE, Graph, _one_component, _row_slices, is_connected
+from .graphs import (
+    _EDGE_SLICE,
+    Graph,
+    _blocks,
+    _inner_adjacency,
+    _one_component,
+    _row_slices,
+    is_connected,
+)
 
 __all__ = [
     "ConsensusSystem",
@@ -47,11 +58,17 @@ __all__ = [
     "simulate_hitting_time",
 ]
 
-# Largest n at which rho2 alone comes from a dense eigvalsh of S; above it
-# shift-invert Lanczos on the sparse S is faster (on generated graphs the
-# two tie near n = 200 with one BLAS thread, and Lanczos wins from 300).
-# delta_ss needs every eigenpair, so it always takes the dense path.
+# Largest n at which one dense eigendecomposition of S gives rho2 and
+# delta_ss; above it rho2 comes from shift-invert Lanczos and delta_ss from
+# the block-cut resistance sum, with no dense eigensolve.  Medians on
+# generated graphs, one BLAS thread: for rho2 alone the two tie near
+# n = 200 and Lanczos wins from 300; for both, the dense eigh takes 3.1,
+# 4.6 and 6.9 ms at n = 200, 250 and 300, against 2.4, 2.6 and 2.7 ms.
 _DENSE_MAX_N = 250
+# the grounded block Laplacians of delta_ss are stacked, padded to a
+# multiple of _LAPLACIAN_PAD rows, about _LAPLACIAN_CELLS entries a stack
+_LAPLACIAN_PAD = 8
+_LAPLACIAN_CELLS = 1 << 18
 
 
 class ConvergenceError(RuntimeError):
@@ -166,22 +183,24 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
     Builds S = (D+I)^-1/2 (A+I) (D+I)^-1/2, the symmetrized W, sparse from
     the adjacency; delta_ss is None without ``noise``.
 
-    rho2 alone above ``_DENSE_MAX_N`` nodes needs no n-by-n array:
-    shift-invert Lanczos about 1 + 1e-3, on the inverse of S - (1 + 1e-3) I
-    from one sparse LU factorization, gives the two largest eigenvalues, 1
-    and lambda2, in a few solves even when 1 - lambda2 is tiny.  S is
-    shifted in place and dropped once factored, so the graph, S and the LU
-    are the largest arrays held at once.
+    Up to ``_DENSE_MAX_N`` nodes one dense eigendecomposition of S gives
+    both.  With eigenpairs (lambda_k, u_k) of S, lambda_1 = 1 and u_1 =
+    sqrt(pi), the fundamental matrix has Z_jj - pi_j = sum_{k>=2} u_kj^2 /
+    (1 - lambda_k), so delta_ss = sum_j pi_j sigma2_j (Z_jj - pi_j) needs no
+    n-by-n Z or H (Levin, Peres and Wilmer, Markov Chains and Mixing
+    Times, spectral representation of reversible chains).
+
+    Above it no dense eigensolve runs and no n-by-n array is allocated.
+    delta_ss comes from effective resistances summed over the graph's
+    biconnected blocks (``_resistance_deviation``).  rho2 comes from
+    shift-invert Lanczos about 1 + 1e-3, on the inverse of
+    S - (1 + 1e-3) I from one sparse LU factorization, which gives the two
+    largest eigenvalues, 1 and lambda2, in a few solves even when
+    1 - lambda2 is tiny.  S is shifted in place and dropped once factored,
+    so the graph, S and the LU are the largest arrays held at once.
     W is lazy: W = a I + (1 - a) W' with a = 1/(d_max + 1) and W'
     stochastic, so lambda_min >= 2a - 1, and lambda2 >= 1 - 2a certifies
     rho2 = lambda2; otherwise one more Lanczos run gives lambda_min.
-
-    Otherwise a dense eigendecomposition of S gives both.  With eigenpairs
-    (lambda_k, u_k) of S, lambda_1 = 1 and u_1 = sqrt(pi), the fundamental
-    matrix has Z_jj - pi_j = sum_{k>=2} u_kj^2 / (1 - lambda_k), so
-    delta_ss = sum_j pi_j sigma2_j (Z_jj - pi_j) needs no n-by-n Z or H
-    (Levin, Peres and Wilmer, Markov Chains and Mixing Times, spectral
-    representation of reversible chains).
     """
     n = g.n
     S, d1, diag = _symmetrized(g)
@@ -189,45 +208,139 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
     if n == 0 or not _one_component(S):
         raise ValueError("consensus metrics require a connected graph (irreducibility)")
     sigma2 = None if noise is None else noise.variances(n)
-    if sigma2 is None and n > _DENSE_MAX_N:
-        # a fixed-seed start: deterministic, and generic with respect to graph
-        # symmetries (a structured start can be orthogonal to an eigenvector)
-        v0 = np.random.default_rng(0x5EED).standard_normal(n)
-        # the LU of a dense group is as large as the group's part of S, and S
-        # is not needed again unless the certificate fails
-        shift = 1.0 + 1e-3
-        S.data[diag] -= shift
-        # S is symmetric, so its CSR arrays read as CSC are S itself
-        lu = splu(S.T)
-        del S
-        # the eigenvalues of S nearest the shift are those of largest
-        # magnitude of (S - shift I)^-1, 1 / (lambda - shift)
-        inverse = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    if n <= _DENSE_MAX_N:
         try:
-            mu = eigsh(inverse, k=2, v0=v0, return_eigenvectors=False)
-            lam2 = float((shift + 1.0 / mu).min())
-            if lam2 >= 1.0 - 2.0 / d1.max():
-                return lam2, None
-            del lu, inverse
-            lam_min = eigsh(_symmetrized(g)[0], k=1, which="SA", v0=v0,
-                            return_eigenvectors=False)
-        except ArpackError as exc:
-            raise ConvergenceError(f"Lanczos iteration failed: {exc}") from exc
-        return max(lam2, -float(lam_min[0])), None
-    try:
+            if sigma2 is None:
+                lam = scipy.linalg.eigvalsh(S.toarray(), driver="evd")
+            else:
+                lam, U = scipy.linalg.eigh(S.toarray(), driver="evd")
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"dense eigendecomposition failed: {exc}") from exc
+        # the ascending spectrum ends with the Perron eigenvalue 1
+        rho2 = float(max(lam[-2], -lam[0])) if n > 1 else 0.0
         if sigma2 is None:
-            lam = scipy.linalg.eigvalsh(S.toarray(), driver="evd")
-        else:
-            lam, U = scipy.linalg.eigh(S.toarray(), driver="evd")
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense eigendecomposition failed: {exc}") from exc
-    # the ascending spectrum ends with the Perron eigenvalue 1
-    rho2 = float(max(lam[-2], -lam[0])) if n > 1 else 0.0
-    if sigma2 is None:
-        return rho2, None
-    excess = U[:, :-1] ** 2 @ (1.0 / (1.0 - lam[:-1]))
-    pi = d1 / d1.sum()
-    return rho2, float(pi * sigma2 @ excess)
+            return rho2, None
+        excess = U[:, :-1] ** 2 @ (1.0 / (1.0 - lam[:-1]))
+        pi = d1 / d1.sum()
+        return rho2, float(pi * sigma2 @ excess)
+    delta = None if sigma2 is None else _resistance_deviation(g, d1, sigma2)
+    # a fixed-seed start: deterministic, and generic with respect to graph
+    # symmetries (a structured start can be orthogonal to an eigenvector)
+    v0 = np.random.default_rng(0x5EED).standard_normal(n)
+    # the LU of a dense group is as large as the group's part of S, and S
+    # is not needed again unless the certificate fails
+    shift = 1.0 + 1e-3
+    S.data[diag] -= shift
+    # S is symmetric, so its CSR arrays read as CSC are S itself
+    lu = splu(S.T)
+    del S
+    # the eigenvalues of S nearest the shift are those of largest
+    # magnitude of (S - shift I)^-1, 1 / (lambda - shift)
+    inverse = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    try:
+        mu = eigsh(inverse, k=2, v0=v0, return_eigenvectors=False)
+        lam2 = float((shift + 1.0 / mu).min())
+        if lam2 >= 1.0 - 2.0 / d1.max():
+            return lam2, delta
+        del lu, inverse
+        lam_min = eigsh(_symmetrized(g)[0], k=1, which="SA", v0=v0,
+                        return_eigenvectors=False)
+    except ArpackError as exc:
+        raise ConvergenceError(f"Lanczos iteration failed: {exc}") from exc
+    return max(lam2, -float(lam_min[0])), delta
+
+
+def _resistance_deviation(g: Graph, d1: np.ndarray, sigma2: np.ndarray) -> float:
+    """delta_ss of a connected graph of n >= 2 from effective resistances.
+
+    W is the walk on the graph with a unit self-loop at every node, so
+    Tetali's formula (J. Theor. Probab. 4, 1991) gives its hitting times
+    H_ij = (C/2) (R_ij + r_j - r_i), with C = n + 2|E|, R the effective
+    resistances of the loop-free graph, pi = (d + 1)/C and r = R pi.  Then
+
+        delta_ss = (C/2) sum_j pi_j^2 sigma2_j (2 r_j - K),   K = pi^T r.
+
+    Resistance adds in series through cut vertices, so for j in a block B,
+    r_j - u_B(j) is the same for all of B, where u_B(j) = sum_{y in B}
+    P_B(y) R^B_jy and P_B(y) is the stationary mass that reaches B
+    through y.  A two-node block has u of one end = P_B of the other.  A
+    larger block takes one Cholesky factorization of its Laplacian
+    grounded at its first member, whose inverse G (zero on that member)
+    gives R^B_jy = G_jj + G_yy - 2 G_jy; the blocks go through numpy's
+    stacked Cholesky and inverse, padded to a few common sizes.  Then r at
+    node 0 is the sum of u_B over the blocks' tops, and r_j = r_top +
+    u_B(j) - u_B(top) for each block B below it.  The largest array is a
+    stack of about ``_LAPLACIAN_CELLS`` entries, or the square of the
+    largest block if that is larger.
+    """
+    cut = _blocks(g)
+    total = d1.sum()
+    pi = d1 / total
+    mass = cut.volume / total
+    size = np.bincount(cut.block, minlength=g.n)
+    pair = size[cut.block] == 2
+    u = np.empty(mass.size)
+    u[pair] = mass[pair].reshape(-1, 2)[:, ::-1].ravel()
+    key, indptr, indices = _inner_adjacency(g, cut, size)
+    inner = np.flatnonzero(~pair)
+    # in the larger blocks, membership i (cut entry inner[i]) of block
+    # which[i] has row loc[i] of its grounded Laplacian, -1 for the ground
+    starts = np.flatnonzero(np.diff(key // g.n, prepend=-1))
+    members = np.diff(np.append(starts, key.size))
+    which = np.repeat(np.arange(starts.size), members)
+    loc = np.arange(key.size) - starts[which] - 1
+    src = np.repeat(np.arange(key.size), np.diff(indptr))
+    degree = np.bincount(src, minlength=key.size) + np.bincount(indices, minlength=key.size)
+    # the edges the grounded Laplacians keep: those off the ground
+    off = (loc[src] >= 0) & (loc[indices] >= 0)
+    src, dst = src[off], indices[off]
+    reach = np.bincount(which, weights=mass[inner])
+    # the blocks go in stacks of one padded size, identity on the padding
+    pad = -(-(members - 1) // _LAPLACIAN_PAD) * _LAPLACIAN_PAD
+    for m in np.unique(pad).tolist():
+        same = np.flatnonzero(pad == m)
+        per = max(1, _LAPLACIAN_CELLS // (m * m))
+        for lo in range(0, same.size, per):
+            stack = same[lo:lo + per]
+            slot = np.full(starts.size, -1)
+            slot[stack] = np.arange(stack.size)
+            at = np.flatnonzero(slot[which] >= 0)
+            t, row = slot[which[at]], loc[at]
+            real = row >= 0
+            lap = np.zeros((stack.size, m, m))
+            lap[:, np.arange(m), np.arange(m)] = 1.0
+            lap[t[real], row[real], row[real]] = degree[at[real]]
+            e = slot[which[src]] >= 0
+            te, r, c = slot[which[src[e]]], loc[src[e]], loc[dst[e]]
+            lap[te, r, c] = lap[te, c, r] = -1.0
+            try:
+                # G = L^-1 = F^-T F^-1 from the Cholesky factor F of each block
+                finv = np.linalg.inv(np.linalg.cholesky(lap))
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"block Laplacian factorization failed: {exc}") from exc
+            del lap
+            P = np.zeros((stack.size, m))
+            P[t[real], row[real]] = mass[inner[at[real]]]
+            GP = (finv.transpose(0, 2, 1) @ (finv @ P[:, :, None]))[:, :, 0]
+            gdiag = np.square(finv, out=finv).sum(axis=1)
+            # u_j = G_jj sum(P) + sum_y P_y G_yy - 2 (G P)_j; G is 0 on the ground
+            row = np.maximum(row, 0)
+            u[inner[at]] = ((gdiag * P).sum(axis=1)[t]
+                            + real * (gdiag[t, row] * reach[which[at]] - 2.0 * GP[t, row]))
+    # every node but node 0 lies below the top of exactly one block, hop[j]:
+    # r_j = r_hop[j] + step[j], summed up the tree by pointer jumping
+    below = ~cut.top
+    top_u, top_node = np.zeros(g.n), np.zeros(g.n, dtype=np.int64)
+    top_u[cut.block[cut.top]] = u[cut.top]
+    top_node[cut.block[cut.top]] = cut.node[cut.top]
+    step, hop = np.zeros(g.n), np.zeros(g.n, dtype=np.int64)
+    step[cut.node[below]] = u[below] - top_u[cut.block[below]]
+    hop[cut.node[below]] = top_node[cut.block[below]]
+    while hop.any():
+        step += step[hop]
+        hop = hop[hop]
+    r = u[cut.top].sum() + step
+    return float(0.5 * total * (pi * pi * sigma2 @ (2.0 * r - pi @ r)))
 
 
 def _symmetrized(g: Graph) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:

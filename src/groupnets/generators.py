@@ -79,9 +79,10 @@ class ModalityParams:
 
     ``epsilon`` is the intra-block edge *absence* probability (blocks are
     G(s, 1-epsilon)); ``bundle_scale`` multiplies ``s_i*s_j`` to size edge
-    bundles; ``comember_inclusion`` is the probability that a co-member
-    links to each member of its adopted group (defaults to 1-epsilon);
-    ``branching_pmf`` drives the liaison branching factors.
+    bundles; ``comember_inclusion`` is the probability, in (0, 1], that a
+    co-member links to each member of its adopted group (defaults to
+    1-epsilon, which is 1.0 in floating point for epsilon below about
+    1.1e-16); ``branching_pmf`` drives the liaison branching factors.
     """
 
     epsilon: float = 0.1
@@ -96,9 +97,9 @@ class ModalityParams:
             raise ValueError(f"bundle_scale must be positive and finite, got {self.bundle_scale}")
         if self.comember_inclusion is None:
             object.__setattr__(self, "comember_inclusion", 1.0 - self.epsilon)
-        if not 0.0 < self.comember_inclusion < 1.0:
+        if not 0.0 < self.comember_inclusion <= 1.0:
             raise ValueError(
-                f"comember_inclusion must lie in (0,1), got {self.comember_inclusion}"
+                f"comember_inclusion must lie in (0,1], got {self.comember_inclusion}"
             )
         weights = list(self.branching_pmf.values())
         if not all(0.0 <= w < math.inf for w in weights) or not sum(weights) > 0.0:

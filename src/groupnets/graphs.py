@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,7 +55,7 @@ class Graph:
     lexicographic order, on each access.
     """
 
-    __slots__ = ("n", "_indptr", "_indices", "_csr")
+    __slots__ = ("n", "_indptr", "_indices", "_csr", "_cut")
 
     def __init__(self, n: int, edges: ArrayLike):
         if n < 0:
@@ -99,6 +100,7 @@ class Graph:
         np.remainder(arcs, n, out=arcs)
         self._indices = arcs.astype(np.int32)
         self._csr = None
+        self._cut = None
 
     @property
     def edges(self) -> np.ndarray:
@@ -213,33 +215,15 @@ def average_shortest_path(g: Graph) -> float:
         if np.isinf(dist).any():
             raise ValueError("graph is disconnected: unreachable pair encountered")
         return float(dist.sum() / (g.n * (g.n - 1)))
-    block, node, weight, edge_block = _blocks(g)
-    size = np.bincount(block, minlength=g.n)
+    cut = _blocks(g)
+    size = np.bincount(cut.block, minlength=g.n)
     # the two memberships of each 2-node block are adjacent
-    pair = size[block] == 2
-    total = 2 * int(weight[pair].reshape(-1, 2).prod(axis=1).sum())
-    big = ~pair
-    block, node, weight = block[big], node[big], weight[big]
-    if block.size:
-        # the sorted (block, node) keys give every membership a row of one
-        # block-diagonal adjacency, holding each edge once, from its smaller
-        # end's row: the search below reads it as undirected
-        key = block * g.n + node
-        inner = size > 2
-        rows, cols, at = [], [], 0
-        for u, v in _edge_slices(g):
-            eb = edge_block[at:at + u.size]
-            at += u.size
-            keep = inner[eb]
-            offset = eb[keep] * g.n
-            rows.append(np.searchsorted(key, u[keep] + offset).astype(np.int32))
-            cols.append(np.searchsorted(key, v[keep] + offset).astype(np.int32))
-        del edge_block
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        indptr = np.zeros(key.size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=key.size), out=indptr[1:])
-        indices = cols[np.argsort(rows, kind="stable")]
-        del rows, cols
+    pair = size[cut.block] == 2
+    total = 2 * int(cut.weight[pair].reshape(-1, 2).prod(axis=1).sum())
+    # each edge of the larger blocks once: the search below reads it as undirected
+    key, indptr, indices = _inner_adjacency(g, cut, size)
+    weight = cut.weight[~pair]
+    if key.size:
         # unit weights: the same distances as an unweighted search, without
         # the unit weights it would allocate on every call
         ones = np.ones(indices.size)
@@ -267,18 +251,44 @@ def average_shortest_path(g: Graph) -> float:
     return total / (g.n * (g.n - 1))
 
 
-def _blocks(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+class _BlockCut(NamedTuple):
+    """The biconnected blocks of a connected graph and its block-cut tree.
+
+    One entry per (block, member) pair, sorted by (block, member).  A block
+    is named by the node its first tree arc enters; its top is the member
+    nearest node 0, the cut vertex towards node 0 or node 0 itself.
+    """
+
+    block: np.ndarray
+    node: np.ndarray
+    # the nodes that reach the block through the member, and the sum of
+    # d + 1 over them; over a block they sum to n and to n + 2|E|
+    weight: np.ndarray
+    volume: np.ndarray
+    top: np.ndarray
+    # each node's depth-first preorder number, and the block of the tree arc
+    # into the node of each preorder number
+    pre: np.ndarray
+    arc_block: np.ndarray
+
+    def edge_blocks(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The block of each edge (u, v)."""
+        # every edge joins a node to an ancestor; it lies in the block of the
+        # tree arc into the deeper end, the one later in the order
+        return self.arc_block[np.maximum(self.pre[u], self.pre[v])]
+
+
+def _blocks(g: Graph) -> _BlockCut:
     """Biconnected blocks of a connected graph of n >= 2 and their block-cut weights.
 
     Hopcroft and Tarjan's low points (CACM 16, 1973) over a depth-first
     order: the DFS tree arc into v starts a new block exactly when no
-    edge from v's subtree reaches above v's parent.  A block is named by
-    the node its first arc enters.  Returns ``(block, node, weight,
-    edge_block)``: one entry per (block, member) pair, sorted by (block,
-    member), where ``weight`` is the number of nodes that reach the block through
-    that member (they sum to n over each block), and the block of each
-    row of ``g.edges``.
+    edge from v's subtree reaches above v's parent.  The result is kept on
+    the graph, so that the path lengths and delta_ss of one record share
+    one search.
     """
+    if g._cut is not None:
+        return g._cut
     n = g.n
     csr = g.to_csr()
     # every arc has its reverse, so the directed search skips a symmetrising copy
@@ -307,24 +317,50 @@ def _blocks(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if not o:
             lab[v] = lab[par[v]]
     label = np.array(lab, dtype=np.int64)
+    # a subtree is a run of the order: its volume is a difference of prefix sums
+    vol = g.degrees().astype(np.int64) + 1
+    prefix = np.concatenate(([0], np.cumsum(vol[order])))
+    subtree_vol = prefix[pre + size] - prefix[pre]
     # a member below its block's top reaches it with itself and the
     # subtrees of the blocks it tops; the top gets all nodes outside the block
-    hang = np.ones(n, dtype=np.int64)
     first = np.flatnonzero(opens)
+    hang, hang_vol = np.ones(n, dtype=np.int64), vol.copy()
     np.add.at(hang, parent[first], size[first])
+    np.add.at(hang_vol, parent[first], subtree_vol[first])
     block = np.concatenate((label[child], first))
     node = np.concatenate((child, parent[first]))
     weight = np.concatenate((hang[child], n - size[first]))
+    volume = np.concatenate((hang_vol[child], prefix[-1] - subtree_vol[first]))
+    top = np.arange(block.size) >= child.size
     rank = np.argsort(block * n + node)
-    # every edge joins a node to an ancestor; it lies in the block of the
-    # tree arc into the deeper end, the one later in the order
-    by_pre = label[order]
-    edge_block = np.empty(g.edge_count, dtype=np.int64)
-    at = 0
+    g._cut = _BlockCut(block[rank], node[rank], weight[rank], volume[rank], top[rank],
+                       pre, label[order])
+    return g._cut
+
+
+def _inner_adjacency(g: Graph, cut: _BlockCut,
+                     size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block-diagonal adjacency of the blocks of more than two members.
+
+    ``size`` counts each block's members.  Returns ``(key, indptr,
+    indices)``: the sorted keys ``block * n + node`` of those blocks'
+    memberships, whose positions number the rows, and the CSR pattern
+    holding each edge of those blocks once, in the row of its smaller end.
+    """
+    inner = size > 2
+    member = inner[cut.block]
+    key = cut.block[member] * g.n + cut.node[member]
+    rows, cols = [], []
     for u, v in _edge_slices(g):
-        edge_block[at:at + u.size] = by_pre[np.maximum(pre[u], pre[v])]
-        at += u.size
-    return block[rank], node[rank], weight[rank], edge_block
+        eb = cut.edge_blocks(u, v)
+        keep = inner[eb]
+        offset = eb[keep] * g.n
+        rows.append(np.searchsorted(key, u[keep] + offset).astype(np.int32))
+        cols.append(np.searchsorted(key, v[keep] + offset).astype(np.int32))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    indptr = np.zeros(key.size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=key.size), out=indptr[1:])
+    return key, indptr, cols[np.argsort(rows, kind="stable")]
 
 
 def average_clustering(g: Graph) -> float:

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from groupnets import dynamics
@@ -21,7 +25,7 @@ from groupnets.dynamics import (
     steady_state_deviation,
 )
 from groupnets.experiments import measure
-from groupnets.generators import generate
+from groupnets.generators import MODALITIES, generate
 from groupnets.graphs import Graph
 
 
@@ -276,7 +280,7 @@ def test_simulate_hitting_time_validation():
         simulate_hitting_time(sys, 1, 1, 100, np.random.default_rng(0))
 
 
-def test_steady_state_deviation_closed_forms():
+def test_steady_state_deviation_closed_forms(monkeypatch):
     sys2 = build_consensus_matrix(K2)
     H2 = hitting_times(sys2).H
     assert steady_state_deviation(sys2, H2, NoiseModel(1.0)) == pytest.approx(0.5, abs=1e-12)
@@ -288,6 +292,15 @@ def test_steady_state_deviation_closed_forms():
         steady_state_deviation(sys3, H2, NoiseModel(1.0))
     with pytest.raises(ValueError):
         steady_state_deviation(sys3, H3, NoiseModel((1.0, 1.0)))
+    # consensus_spectrum in both regimes: K3 gives 2/3; P3 has C = 7,
+    # pi = (2, 3, 2)/7, r = R pi = (1, 4/7, 1) and K = 40/49, so 304/343
+    assert consensus_spectrum(K2, NoiseModel(1.0))[1] == pytest.approx(0.5, abs=1e-12)
+    for dense_max_n in (dynamics._DENSE_MAX_N, 0):
+        monkeypatch.setattr(dynamics, "_DENSE_MAX_N", dense_max_n)
+        delta = consensus_spectrum(complete(3), NoiseModel(1.0))[1]
+        assert delta == pytest.approx(2 / 3, abs=1e-12)
+        assert consensus_spectrum(PATH3, NoiseModel(1.0))[1] == pytest.approx(304 / 343, abs=1e-12)
+        assert consensus_spectrum(PATH3, NoiseModel(0.0))[1] == 0.0
 
 
 def test_simulate_consensus():
@@ -345,3 +358,76 @@ def test_generated_graph_invariants():
             mg = generate(modality, 60, seed=seed)
             sys = build_consensus_matrix(mg.graph)
             assert abs(sys.pi.sum() - 1.0) < 1e-12
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected graph of 2-30 nodes: a tree, a star, a complete graph, or
+    a random tree plus random extra pairs."""
+    n = draw(st.integers(2, 30))
+    kind = draw(st.sampled_from(("tree", "star", "complete", "random")))
+    if kind == "star":
+        return Graph(n, [(0, v) for v in range(1, n)])
+    if kind == "complete":
+        return complete(n)
+    pairs = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    if kind == "random":
+        node = st.integers(0, n - 1)
+        pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+        pairs += draw(st.lists(pair, max_size=2 * n))
+    return Graph(n, pairs)
+
+
+def oracle_delta(g, noise):
+    sys = build_consensus_matrix(g)
+    return steady_state_deviation(sys, hitting_times(sys).H, noise)
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_graphs(), st.data())
+def test_block_cut_delta_matches_hitting_times(g, data):
+    # the effective-resistance delta_ss against the Kemeny-Snell form, with
+    # one noise variance or one per node
+    if data.draw(st.booleans()):
+        noise = NoiseModel(data.draw(st.floats(0.1, 3.0)))
+    else:
+        noise = NoiseModel(tuple(data.draw(st.lists(st.floats(0.0, 3.0), min_size=g.n,
+                                                    max_size=g.n))))
+    ref = oracle_delta(g, noise)
+    got = dynamics._resistance_deviation(g, g.degrees() + 1, noise.variances(g.n))
+    assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+    if g.n > 2:  # shift-invert Lanczos takes two eigenvalues, so k = 2 < n
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_DENSE_MAX_N", 0)
+            assert consensus_spectrum(g, noise)[1] == got
+
+
+@pytest.mark.parametrize("modality", MODALITIES)
+def test_block_cut_delta_on_generated_graphs(modality):
+    # one graph per modality above the switch, where delta_ss takes the
+    # block-cut path, against the Kemeny-Snell form and the dense spectrum
+    n = {"bridge": 300, "edge_bundle": 400, "comembership": 500, "liaison": 450}[modality]
+    g = generate(modality, n, seed=17).graph
+    assert dynamics._DENSE_MAX_N < g.n <= 600
+    rng = np.random.default_rng(18)
+    for noise in (NoiseModel(1.7), NoiseModel(tuple(rng.uniform(0.1, 3.0, g.n).tolist()))):
+        got = consensus_spectrum(g, noise)[1]
+        assert got == pytest.approx(oracle_delta(g, noise), rel=1e-9, abs=0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_DENSE_MAX_N", g.n)
+            assert got == pytest.approx(consensus_spectrum(g, noise)[1], rel=1e-9, abs=0.0)
+
+
+def test_block_cut_delta_allocates_no_square_array():
+    # above the switch neither rho2 nor delta_ss takes an n-by-n array: the
+    # largest block of this graph has 51 nodes
+    g = generate("bridge", 2000, seed=1).graph
+    consensus_spectrum(g, NoiseModel(1.0))  # imports and caches outside the count
+    g = generate("bridge", 2000, seed=1).graph
+    tracemalloc.start()
+    try:
+        consensus_spectrum(g, NoiseModel(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * g.n * 8 / 4

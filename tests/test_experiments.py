@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from groupnets import dynamics, experiments
+from groupnets import dynamics, experiments, graphs
 from groupnets.dynamics import (
     NoiseModel,
     build_consensus_matrix,
@@ -265,6 +265,40 @@ def test_eigensolver_failure_gives_bare_record(monkeypatch):
     records = run_sweep(cfg)
     assert len(records) == 2
     assert all(r.n_actual is None for r in records)
+    # above the switch delta_ss factors the block Laplacians, not S
+    monkeypatch.undo()
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    size = dynamics._DENSE_MAX_N + 50
+    cfg = SweepConfig(sizes=(size,), replications=2, modalities=("bridge",))
+    record = compute_record("bridge", size, 0, cfg)
+    assert record.n_actual is None
+    assert all(getattr(record, m) is None for m in METRIC_FIELDS)
+    records = run_sweep(cfg)
+    assert len(records) == 2
+    assert all(r.n_actual is None for r in records)
+    # the same record without delta_ss needs no block factorization
+    cfg = SweepConfig(sizes=(size,), replications=1, modalities=("bridge",),
+                      heavy_metrics_max_n=0)
+    assert compute_record("bridge", size, 0, cfg).rho2 is not None
+
+
+def test_measure_shares_one_block_search(monkeypatch):
+    # above both switches, the path lengths and delta_ss of a record come
+    # from one depth-first search of the graph
+    calls = []
+    real = graphs.csgraph.depth_first_order
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphs.csgraph, "depth_first_order", counted)
+    g = generate("edge_bundle", dynamics._DENSE_MAX_N + 50, seed=4).graph
+    got = measure(g, NoiseModel(1.0), with_delta=True)
+    assert len(calls) == 1
+    sys = build_consensus_matrix(g)
+    assert got["delta_ss"] == pytest.approx(
+        steady_state_deviation(sys, hitting_times(sys).H, NoiseModel(1.0)), rel=1e-9, abs=0.0)
 
 
 def test_failure_rows(monkeypatch, tmp_path):

@@ -65,6 +65,29 @@ def test_params_defaults():
         ModalityParams(comember_inclusion=1.5)
 
 
+def test_params_epsilon_below_rounding():
+    # 1 - 1e-17 is 1.0 in floating point: the default inclusion is then 1,
+    # which is accepted, also when given explicitly and after a JSON roundtrip
+    from groupnets.experiments import SweepConfig
+
+    p = ModalityParams(epsilon=1e-17)
+    assert p.comember_inclusion == 1.0
+    assert ModalityParams(comember_inclusion=1.0).comember_inclusion == 1.0
+    for bad in (0.0, 1.0 + 1e-15, math.nan):
+        with pytest.raises(ValueError, match="comember_inclusion must lie in"):
+            ModalityParams(comember_inclusion=bad)
+    cfg = SweepConfig(sizes=(20,), replications=1, params=p)
+    assert SweepConfig.from_json_text(cfg.to_json_text()) == cfg
+    for modality in MODALITIES:
+        mg = generate(modality, 40, p, seed=3)
+        assert_generator_invariants(mg, 40, p)
+    # every co-member links to every member of its adopted group
+    mg = gen_comembership(40, p, np.random.default_rng(8))
+    sizes = mg.group_sizes.sizes
+    for (i, j), edges in cross_edges_by_pair(mg).items():
+        assert len(edges) in (sizes[i], sizes[j])
+
+
 def test_er_block_tiny_epsilon_is_clique():
     g = er_block(3, 1e-9, np.random.default_rng(0))
     assert g.edge_count == 3

@@ -342,20 +342,31 @@ def test_blocks_match_networkx(case):
     G = nx.Graph()
     G.add_nodes_from(range(n))
     G.add_edges_from(pairs)
-    block, node, weight, edge_block = graphs._blocks(g)
+    cut = graphs._blocks(g)
+    assert graphs._blocks(g) is cut  # kept on the graph
     members = {}
-    for b, v in zip(block.tolist(), node.tolist()):
+    for b, v in zip(cut.block.tolist(), cut.node.tolist()):
         members.setdefault(b, set()).add(v)
     want = {frozenset(c) for c in nx.biconnected_components(G)}
     assert {frozenset(m) for m in members.values()} == want
     assert len(members) == len(want)  # no block found twice
     # the edges of a block join two of its members
-    for (u, v), b in zip(g.edges.tolist(), edge_block.tolist()):
+    e = g.edges
+    for (u, v), b in zip(e.tolist(), cut.edge_blocks(e[:, 0], e[:, 1]).tolist()):
         assert {u, v} <= members[b]
-    # w_B(x): the nodes left with x once the other members of B are removed
-    for b, v, w in zip(block.tolist(), node.tolist(), weight.tolist()):
+    # w_B(x): the nodes left with x once the other members of B are removed,
+    # and their volume, the sum of d + 1; the top is the member left with node 0
+    tops = set()
+    for b, v, w, vol, top in zip(cut.block.tolist(), cut.node.tolist(), cut.weight.tolist(),
+                                 cut.volume.tolist(), cut.top.tolist()):
         rest = G.subgraph(set(G) - (members[b] - {v}))
-        assert w == len(nx.node_connected_component(rest, v))
+        reach = nx.node_connected_component(rest, v)
+        assert w == len(reach)
+        assert vol == sum(G.degree(y) + 1 for y in reach)
+        assert top == (0 in reach)
+        if top:
+            tops.add(b)
+    assert tops == set(members)
 
 
 @pytest.mark.parametrize("modality", ["bridge", "edge_bundle", "comembership", "liaison"])
