@@ -297,9 +297,10 @@ def test_steady_state_deviation_closed_forms(monkeypatch):
     assert consensus_spectrum(K2, NoiseModel(1.0))[1] == pytest.approx(0.5, abs=1e-12)
     for dense_max_n in (dynamics._DENSE_MAX_N, 0):
         monkeypatch.setattr(dynamics, "_DENSE_MAX_N", dense_max_n)
-        delta = consensus_spectrum(complete(3), NoiseModel(1.0))[1]
-        assert delta == pytest.approx(2 / 3, abs=1e-12)
-        assert consensus_spectrum(PATH3, NoiseModel(1.0))[1] == pytest.approx(304 / 343, abs=1e-12)
+        k3 = consensus_spectrum(complete(3), NoiseModel(1.0))[1]
+        assert k3 == pytest.approx(2 / 3, abs=1e-12)
+        p3 = consensus_spectrum(PATH3, NoiseModel(1.0))[1]
+        assert p3 == pytest.approx(304 / 343, abs=1e-12)
         assert consensus_spectrum(PATH3, NoiseModel(0.0))[1] == 0.0
 
 
@@ -405,7 +406,7 @@ def test_block_cut_delta_matches_hitting_times(g, data):
 @pytest.mark.parametrize("modality", MODALITIES)
 def test_block_cut_delta_on_generated_graphs(modality):
     # one graph per modality above the switch, where delta_ss takes the
-    # block-cut path, against the Kemeny-Snell form and the dense spectrum
+    # block-cut path, against the Kemeny-Snell form
     n = {"bridge": 300, "edge_bundle": 400, "comembership": 500, "liaison": 450}[modality]
     g = generate(modality, n, seed=17).graph
     assert dynamics._DENSE_MAX_N < g.n <= 600
@@ -413,9 +414,6 @@ def test_block_cut_delta_on_generated_graphs(modality):
     for noise in (NoiseModel(1.7), NoiseModel(tuple(rng.uniform(0.1, 3.0, g.n).tolist()))):
         got = consensus_spectrum(g, noise)[1]
         assert got == pytest.approx(oracle_delta(g, noise), rel=1e-9, abs=0.0)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dynamics, "_DENSE_MAX_N", g.n)
-            assert got == pytest.approx(consensus_spectrum(g, noise)[1], rel=1e-9, abs=0.0)
 
 
 def test_block_cut_delta_allocates_no_square_array():
