@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .dynamics import NoiseModel
 from .experiments import (
@@ -134,36 +133,21 @@ def _cmd_metrics(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
+    payload = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = SweepConfig.from_json_text(fh.read())
-    else:
-        if args.sizes is None or args.reps is None:
-            raise ValueError("without --config, both --sizes and --reps are required")
-        cfg = SweepConfig(
-            sizes=tuple(int(s) for s in args.sizes.split(",")),
-            replications=args.reps,
-        )
-    updates = {}
-    if args.sizes is not None and args.config:
-        updates["sizes"] = tuple(int(s) for s in args.sizes.split(","))
-    if args.reps is not None and args.config:
-        updates["replications"] = args.reps
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.heavy_max_n is not None:
-        updates["heavy_metrics_max_n"] = args.heavy_max_n
-    if args.eps is not None or args.bundle_scale is not None:
-        updates["params"] = ModalityParams(
-            epsilon=args.eps if args.eps is not None else cfg.params.epsilon,
-            bundle_scale=(
-                args.bundle_scale
-                if args.bundle_scale is not None
-                else cfg.params.bundle_scale
-            ),
-        )
-    if updates:
-        cfg = replace(cfg, **updates)
+            payload = json.loads(fh.read())
+    # the flags override the file's keys and go through the same checks
+    if type(payload) is dict:
+        sizes = None if args.sizes is None else [int(s) for s in args.sizes.split(",")]
+        flags = {"sizes": sizes, "replications": args.reps, "master_seed": args.seed,
+                 "heavy_metrics_max_n": args.heavy_max_n}
+        payload.update((k, v) for k, v in flags.items() if v is not None)
+        params = {"epsilon": args.eps, "bundle_scale": args.bundle_scale}
+        params = {k: v for k, v in params.items() if v is not None}
+        if params and type(payload.setdefault("params", {})) is dict:
+            payload["params"].update(params)
+    cfg = SweepConfig.from_payload(payload)
     records = run_sweep(cfg, workers=args.workers)
     write_records_csv(records, args.out)
     failed = sum(1 for r in records if r.n_actual is None)

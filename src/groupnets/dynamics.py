@@ -29,15 +29,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .graphs import (
-    _EDGE_SLICE,
-    Graph,
-    _blocks,
-    _inner_adjacency,
-    _one_component,
-    _row_slices,
-    is_connected,
-)
+from .graphs import _EDGE_SLICE, Graph, _blocks, _one_component, _row_slices, is_connected
 
 __all__ = [
     "ConsensusSystem",
@@ -263,70 +255,65 @@ def _resistance_deviation(g: Graph, d1: np.ndarray, sigma2: np.ndarray) -> float
     Resistance adds in series through cut vertices, so for j in a block B,
     r_j - u_B(j) is the same for all of B, where u_B(j) = sum_{y in B}
     P_B(y) R^B_jy and P_B(y) is the stationary mass that reaches B
-    through y.  A two-node block has u of one end = P_B of the other.  A
-    larger block takes one Cholesky factorization of its Laplacian
-    grounded at its first member, whose inverse G (zero on that member)
-    gives R^B_jy = G_jj + G_yy - 2 G_jy; the blocks go through numpy's
-    stacked Cholesky and inverse, padded to a few common sizes.  Then r at
-    node 0 is the sum of u_B over the blocks' tops, and r_j = r_top +
-    u_B(j) - u_B(top) for each block B below it.  The largest array is a
-    stack of about ``_LAPLACIAN_CELLS`` entries, or the square of the
-    largest block if that is larger.
+    through y.  ``_blocks`` lists the two-node blocks first: u of one end
+    is P_B of the other.  A larger block takes one Cholesky factorization
+    of its Laplacian grounded at its first member, whose inverse G (zero
+    on that member) gives R^B_jy = G_jj + G_yy - 2 G_jy.  The larger
+    blocks come in ascending order of size, so those of one padded size
+    are one run of rows and edges of ``_blocks``' adjacency, and a slice
+    of that run at a time goes through numpy's stacked Cholesky and
+    inverse.  Then r at node 0 is the sum of u_B over the blocks' tops,
+    and r_j = r_top + u_B(j) - u_B(top) for each block B below it.  The
+    largest array is a stack of about ``_LAPLACIAN_CELLS`` entries, or the
+    square of the largest block if that is larger.
     """
     cut = _blocks(g)
     total = d1.sum()
     pi = d1 / total
     mass = cut.volume / total
-    size = np.bincount(cut.block, minlength=g.n)
-    pair = size[cut.block] == 2
+    two = 2 * cut.pairs
     u = np.empty(mass.size)
-    u[pair] = mass[pair].reshape(-1, 2)[:, ::-1].ravel()
-    key, indptr, indices = _inner_adjacency(g, cut, size)
-    inner = np.flatnonzero(~pair)
-    # in the larger blocks, membership i (cut entry inner[i]) of block
-    # which[i] has row loc[i] of its grounded Laplacian, -1 for the ground
-    starts = np.flatnonzero(np.diff(key // g.n, prepend=-1))
-    members = np.diff(np.append(starts, key.size))
-    which = np.repeat(np.arange(starts.size), members)
-    loc = np.arange(key.size) - starts[which] - 1
-    src = np.repeat(np.arange(key.size), np.diff(indptr))
-    degree = np.bincount(src, minlength=key.size) + np.bincount(indices, minlength=key.size)
-    # the edges the grounded Laplacians keep: those off the ground
-    off = (loc[src] >= 0) & (loc[indices] >= 0)
-    src, dst = src[off], indices[off]
-    reach = np.bincount(which, weights=mass[inner])
-    # the blocks go in stacks of one padded size, identity on the padding
-    pad = -(-(members - 1) // _LAPLACIAN_PAD) * _LAPLACIAN_PAD
-    for m in np.unique(pad).tolist():
-        same = np.flatnonzero(pad == m)
-        per = max(1, _LAPLACIAN_CELLS // (m * m))
-        for lo in range(0, same.size, per):
-            stack = same[lo:lo + per]
-            slot = np.full(starts.size, -1)
-            slot[stack] = np.arange(stack.size)
-            at = np.flatnonzero(slot[which] >= 0)
-            t, row = slot[which[at]], loc[at]
-            real = row >= 0
-            lap = np.zeros((stack.size, m, m))
-            lap[:, np.arange(m), np.arange(m)] = 1.0
-            lap[t[real], row[real], row[real]] = degree[at[real]]
-            e = slot[which[src]] >= 0
-            te, r, c = slot[which[src[e]]], loc[src[e]], loc[dst[e]]
-            lap[te, r, c] = lap[te, c, r] = -1.0
-            try:
-                # G = L^-1 = F^-T F^-1 from the Cholesky factor F of each block
-                finv = np.linalg.inv(np.linalg.cholesky(lap))
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(f"block Laplacian factorization failed: {exc}") from exc
-            del lap
-            P = np.zeros((stack.size, m))
-            P[t[real], row[real]] = mass[inner[at[real]]]
-            GP = (finv.transpose(0, 2, 1) @ (finv @ P[:, :, None]))[:, :, 0]
-            gdiag = np.square(finv, out=finv).sum(axis=1)
-            # u_j = G_jj sum(P) + sum_y P_y G_yy - 2 (G P)_j; G is 0 on the ground
-            row = np.maximum(row, 0)
-            u[inner[at]] = ((gdiag * P).sum(axis=1)[t]
-                            + real * (gdiag[t, row] * reach[which[at]] - 2.0 * GP[t, row]))
+    u[:two] = mass[:two].reshape(-1, 2)[:, ::-1].ravel()
+    starts, indptr, indices = cut.starts, cut.indptr, cut.indices
+    # a block's grounded Laplacian drops its first row; the stacks are
+    # padded to a multiple of _LAPLACIAN_PAD rows, identity on the padding,
+    # and cut where the padded size changes
+    pad = -(-(np.diff(starts) - 1) // _LAPLACIAN_PAD) * _LAPLACIAN_PAD
+    cells = np.concatenate(([0], np.cumsum(pad * pad)))
+    cuts = np.union1d(_row_slices(cells, _LAPLACIAN_CELLS), np.flatnonzero(np.diff(pad)) + 1)
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        a, b, m = starts[lo], starts[hi], pad[lo]
+        # row i of the stack (row a + i of the adjacency) is row loc[i] of
+        # the grounded Laplacian t[i] of the stack, -1 for the ground
+        t = np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
+        loc = np.arange(a, b) - starts[lo:hi][t] - 1
+        real = loc >= 0
+        src = np.repeat(np.arange(b - a), np.diff(indptr[a:b + 1]))
+        dst = indices[indptr[a]:indptr[b]] - a
+        lap = np.zeros((hi - lo, m, m))
+        lap[:, np.arange(m), np.arange(m)] = 1.0
+        degree = np.bincount(src, minlength=b - a) + np.bincount(dst, minlength=b - a)
+        lap[t[real], loc[real], loc[real]] = degree[real]
+        # the edges the grounded Laplacians keep: those off the ground
+        off = real[src] & real[dst]
+        src, dst = src[off], dst[off]
+        lap[t[src], loc[src], loc[dst]] = lap[t[src], loc[dst], loc[src]] = -1.0
+        try:
+            # G = L^-1 = F^-T F^-1 from the Cholesky factor F of each block
+            finv = np.linalg.inv(np.linalg.cholesky(lap))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"block Laplacian factorization failed: {exc}") from exc
+        del lap
+        held = mass[two + a:two + b]
+        P = np.zeros((hi - lo, m))
+        P[t[real], loc[real]] = held[real]
+        GP = (finv.transpose(0, 2, 1) @ (finv @ P[:, :, None]))[:, :, 0]
+        gdiag = np.square(finv, out=finv).sum(axis=1)
+        reach = np.bincount(t, weights=held)
+        # u_j = G_jj sum(P) + sum_y P_y G_yy - 2 (G P)_j; G is 0 on the ground
+        loc = np.maximum(loc, 0)
+        u[two + a:two + b] = ((gdiag * P).sum(axis=1)[t]
+                              + real * (gdiag[t, loc] * reach[t] - 2.0 * GP[t, loc]))
     # every node but node 0 lies below the top of exactly one block, hop[j]:
     # r_j = r_hop[j] + step[j], summed up the tree by pointer jumping
     below = ~cut.top

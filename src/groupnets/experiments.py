@@ -114,7 +114,11 @@ class SweepConfig:
 
     @classmethod
     def from_json_text(cls, text: str) -> "SweepConfig":
-        payload = json.loads(text)
+        return cls.from_payload(json.loads(text))
+
+    @classmethod
+    def from_payload(cls, payload) -> "SweepConfig":
+        """The config a parsed JSON document describes, every key checked."""
         if type(payload) is not dict:
             raise ValueError(f"config must be a JSON object, got {payload!r}")
         missing = [key for key in ("sizes", "replications") if key not in payload]

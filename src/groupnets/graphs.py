@@ -62,6 +62,8 @@ class Graph:
             raise ValueError("node count must be nonnegative")
         self.n = n = int(n)
         e = np.asarray(edges)
+        if e.size and e.dtype.kind not in "iu":
+            raise ValueError(f"edges must be integers, got {e.dtype} values")
         if e.dtype != np.int32:  # the generators' edge arrays are int32
             e = np.asarray(e, dtype=np.int64)
         if e.size == 0:
@@ -169,7 +171,8 @@ def _one_component(a: sp.csr_matrix) -> bool:
 
 
 def _row_slices(cumulative: np.ndarray, budget: int) -> list[int]:
-    """Row bounds ``0 = r_0 < ... = n`` cutting rows into slices of about ``budget``.
+    """Bounds ``0 = r_0 < ... = n`` cutting n rows (or blocks) into slices of
+    about ``budget``.
 
     ``cumulative[r]`` is the amount held by rows below r (an ``indptr``, say);
     a row holding more than ``budget`` is a slice of its own.
@@ -202,9 +205,10 @@ def average_shortest_path(g: Graph) -> float:
 
         W = sum_B sum_{x != y in B} w_B(x) w_B(y) d_B(x, y),
 
-    where w_B(x) counts the nodes that reach B through x.  Blocks of two
-    nodes have d = 1; the others get their distances in block-diagonal
-    batches of about ``_ASP_BATCH_NODES`` rows, a slice of sources at a
+    where w_B(x) counts the nodes that reach B through x.  ``_blocks``
+    lists the blocks of two nodes first, with d = 1; the larger ones get
+    their distances from its block-diagonal adjacency, in batches of whole
+    blocks of about ``_ASP_BATCH_NODES`` rows, a slice of sources at a
     time.  No n-by-n array, nor a square one for a large block, is
     allocated, and the integer sum gives the same float as the dense path.
     """
@@ -216,47 +220,42 @@ def average_shortest_path(g: Graph) -> float:
             raise ValueError("graph is disconnected: unreachable pair encountered")
         return float(dist.sum() / (g.n * (g.n - 1)))
     cut = _blocks(g)
-    size = np.bincount(cut.block, minlength=g.n)
-    # the two memberships of each 2-node block are adjacent
-    pair = size[cut.block] == 2
-    total = 2 * int(cut.weight[pair].reshape(-1, 2).prod(axis=1).sum())
-    # each edge of the larger blocks once: the search below reads it as undirected
-    key, indptr, indices = _inner_adjacency(g, cut, size)
-    weight = cut.weight[~pair]
-    if key.size:
-        # unit weights: the same distances as an unweighted search, without
-        # the unit weights it would allocate on every call
-        ones = np.ones(indices.size)
-        # cut the rows into batches at block starts, about _ASP_BATCH_NODES
-        # each; a batch's sources go in slices of at most _ASP_DIST_CELLS
-        # distances, so a giant block never takes a square distance matrix
-        starts = np.flatnonzero(np.diff(key // g.n, prepend=-1))
-        cuts = [0]
-        for s in starts[1:].tolist():
-            if s - cuts[-1] >= _ASP_BATCH_NODES:
-                cuts.append(s)
-        cuts.append(key.size)
-        for lo, hi in zip(cuts, cuts[1:]):
-            p, q = indptr[lo], indptr[hi]
-            adj = sp.csr_matrix(
-                (ones[p:q], indices[p:q] - lo, indptr[lo:hi + 1] - p), shape=(hi - lo, hi - lo)
-            )
-            w = weight[lo:hi]
-            step = max(1, _ASP_DIST_CELLS // (hi - lo))
-            for a in range(0, hi - lo, step):
-                dist = csgraph.shortest_path(adj, method="D", directed=False,
-                                             indices=np.arange(a, min(a + step, hi - lo)))
-                dist[np.isinf(dist)] = 0.0  # pairs in different blocks
-                total += int(w[a:a + step] @ (dist.astype(np.int64) @ w))
+    two = 2 * cut.pairs
+    # the two members of each 2-node block are adjacent
+    total = 2 * int(cut.weight[:two].reshape(-1, 2).prod(axis=1).sum())
+    weight = cut.weight[two:]
+    # unit weights: the same distances as an unweighted search, without
+    # the unit weights it would allocate on every call
+    ones = np.ones(cut.indices.size)
+    # the rows go in batches of whole blocks, about _ASP_BATCH_NODES rows
+    # each; a batch's sources go in slices of at most _ASP_DIST_CELLS
+    # distances, so a giant block never takes a square distance matrix
+    cuts = cut.starts[_row_slices(cut.starts, _ASP_BATCH_NODES)].tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        p, q = cut.indptr[lo], cut.indptr[hi]
+        # each edge once: the search reads it as undirected
+        adj = sp.csr_matrix((ones[p:q], cut.indices[p:q] - lo, cut.indptr[lo:hi + 1] - p),
+                            shape=(hi - lo, hi - lo))
+        w = weight[lo:hi]
+        step = max(1, _ASP_DIST_CELLS // (hi - lo))
+        for a in range(0, hi - lo, step):
+            dist = csgraph.shortest_path(adj, method="D", directed=False,
+                                         indices=np.arange(a, min(a + step, hi - lo)))
+            dist[np.isinf(dist)] = 0.0  # pairs in different blocks
+            total += int(w[a:a + step] @ (dist.astype(np.int64) @ w))
     return total / (g.n * (g.n - 1))
 
 
 class _BlockCut(NamedTuple):
-    """The biconnected blocks of a connected graph and its block-cut tree.
+    """The biconnected blocks of a connected graph, its block-cut tree and
+    the block-diagonal adjacency of its blocks of more than two members.
 
-    One entry per (block, member) pair, sorted by (block, member).  A block
-    is named by the node its first tree arc enters; its top is the member
-    nearest node 0, the cut vertex towards node 0 or node 0 itself.
+    One entry per (block, member) pair, grouped by block: the blocks in
+    ascending order of size, named 0, 1, ... in that order, and the
+    members of a block ascending.  The first ``pairs`` blocks have two
+    members; entry ``2 * pairs + i`` is row i of the adjacency.  A block's
+    top is the member nearest node 0, the cut vertex towards node 0 or
+    node 0 itself.
     """
 
     block: np.ndarray
@@ -266,26 +265,25 @@ class _BlockCut(NamedTuple):
     weight: np.ndarray
     volume: np.ndarray
     top: np.ndarray
-    # each node's depth-first preorder number, and the block of the tree arc
-    # into the node of each preorder number
-    pre: np.ndarray
-    arc_block: np.ndarray
-
-    def edge_blocks(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The block of each edge (u, v)."""
-        # every edge joins a node to an ancestor; it lies in the block of the
-        # tree arc into the deeper end, the one later in the order
-        return self.arc_block[np.maximum(self.pre[u], self.pre[v])]
+    pairs: int
+    # block pairs + b of the larger ones opens at row starts[b], and
+    # starts[-1] counts the rows; the CSR pattern holds each of their
+    # edges once, in the row of its smaller end
+    starts: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
 
 def _blocks(g: Graph) -> _BlockCut:
-    """Biconnected blocks of a connected graph of n >= 2 and their block-cut weights.
+    """Biconnected blocks of a connected graph of n >= 2, their block-cut
+    weights and the adjacency of the larger blocks.
 
     Hopcroft and Tarjan's low points (CACM 16, 1973) over a depth-first
     order: the DFS tree arc into v starts a new block exactly when no
-    edge from v's subtree reaches above v's parent.  The result is kept on
-    the graph, so that the path lengths and delta_ss of one record share
-    one search.
+    edge from v's subtree reaches above v's parent.  One pass over the
+    edges then builds the adjacency.  The result is kept on the graph, so
+    that the path lengths and delta_ss of one record share one search and
+    one pass.
     """
     if g._cut is not None:
         return g._cut
@@ -311,7 +309,8 @@ def _blocks(g: Graph) -> _BlockCut:
     child = order[1:]
     opens = np.zeros(n, dtype=bool)
     opens[child] = np.array(low)[child] >= pre[parent[child]]
-    # the block of the tree arc into v: v's own if it opens one, else its parent's
+    # the block of the tree arc into v, named by the node whose arc opens
+    # it: v's own if it opens one, else its parent's
     lab = list(range(n))
     for v, o in zip(child.tolist(), opens[child].tolist()):
         if not o:
@@ -332,35 +331,32 @@ def _blocks(g: Graph) -> _BlockCut:
     weight = np.concatenate((hang[child], n - size[first]))
     volume = np.concatenate((hang_vol[child], prefix[-1] - subtree_vol[first]))
     top = np.arange(block.size) >= child.size
-    rank = np.argsort(block * n + node)
-    g._cut = _BlockCut(block[rank], node[rank], weight[rank], volume[rank], top[rank],
-                       pre, label[order])
-    return g._cut
-
-
-def _inner_adjacency(g: Graph, cut: _BlockCut,
-                     size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block-diagonal adjacency of the blocks of more than two members.
-
-    ``size`` counts each block's members.  Returns ``(key, indptr,
-    indices)``: the sorted keys ``block * n + node`` of those blocks'
-    memberships, whose positions number the rows, and the CSR pattern
-    holding each edge of those blocks once, in the row of its smaller end.
-    """
-    inner = size > 2
-    member = inner[cut.block]
-    key = cut.block[member] * g.n + cut.node[member]
+    # rename the blocks 0, 1, ... in ascending order of size; the nodes
+    # that name no block (size 0) take the names below 0
+    count = np.bincount(block, minlength=n)
+    name = np.empty(n, dtype=np.int64)
+    name[np.argsort(count, kind="stable")] = np.arange(n) - np.count_nonzero(count == 0)
+    key = name[block] * n + node
+    rank = np.argsort(key)
+    pairs = int(np.count_nonzero(count == 2))
+    inner = key[rank[2 * pairs:]]
+    # every edge joins a node to an ancestor; it lies in the block of the
+    # tree arc into the deeper end, the one later in the order
+    arc = name[label[order]]
     rows, cols = [], []
     for u, v in _edge_slices(g):
-        eb = cut.edge_blocks(u, v)
-        keep = inner[eb]
-        offset = eb[keep] * g.n
-        rows.append(np.searchsorted(key, u[keep] + offset).astype(np.int32))
-        cols.append(np.searchsorted(key, v[keep] + offset).astype(np.int32))
+        b = arc[np.maximum(pre[u], pre[v])]
+        keep = b >= pairs
+        offset = b[keep] * n
+        rows.append(np.searchsorted(inner, u[keep] + offset).astype(np.int32))
+        cols.append(np.searchsorted(inner, v[keep] + offset).astype(np.int32))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    indptr = np.zeros(key.size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=key.size), out=indptr[1:])
-    return key, indptr, cols[np.argsort(rows, kind="stable")]
+    indptr = np.zeros(inner.size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=inner.size), out=indptr[1:])
+    starts = np.searchsorted(inner, np.arange(pairs, np.count_nonzero(count) + 1) * n)
+    g._cut = _BlockCut(name[block[rank]], node[rank], weight[rank], volume[rank], top[rank],
+                       pairs, starts, indptr, cols[np.argsort(rows, kind="stable")])
+    return g._cut
 
 
 def average_clustering(g: Graph) -> float:
@@ -451,9 +447,12 @@ class GraphDocument:
     @classmethod
     def from_json_text(cls, text: str) -> "GraphDocument":
         payload = json.loads(text)
+        # exact type: int() would truncate a float, and JSON true loads as a bool
+        if type(payload["n"]) is not int:
+            raise ValueError(f"n must be an integer, got {payload['n']!r}")
         edges = tuple(sorted((min(u, v), max(u, v)) for u, v in payload["edges"]))
         return cls(
-            n=int(payload["n"]),
+            n=payload["n"],
             edges=edges,
             groups=tuple(tuple(int(x) for x in grp) for grp in payload["groups"]),
             liaisons=tuple(int(x) for x in payload["liaisons"]),

@@ -49,7 +49,6 @@ class DesignSpec:
 
     response: str
     regressors: tuple[str, ...] = REGRESSOR_NAMES
-    baseline: str = "bridge"
 
 
 @dataclass(frozen=True)

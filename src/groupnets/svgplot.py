@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .experiments import MetricsRecord, SummaryRow, summarize
+from .experiments import METRIC_FIELDS, MetricsRecord, SummaryRow, read_records_csv, summarize
 
 __all__ = ["PlotSpec", "MODALITY_COLORS", "render_line_chart", "plot_metric"]
 
@@ -31,12 +31,8 @@ class PlotSpec:
     metric: str
     input_path: str
     output_path: str
-    x_label: str = "network size"
-    y_label: str | None = None
 
     def __post_init__(self) -> None:
-        from .experiments import METRIC_FIELDS
-
         if self.metric not in METRIC_FIELDS:
             raise ValueError(
                 f"metric {self.metric!r} is not a sweep CSV column; "
@@ -72,12 +68,7 @@ def _fmt_tick(x: float) -> str:
     return f"{x:g}"
 
 
-def render_line_chart(
-    summaries: Sequence[SummaryRow],
-    metric: str,
-    x_label: str = "network size",
-    y_label: str | None = None,
-) -> str:
+def render_line_chart(summaries: Sequence[SummaryRow], metric: str) -> str:
     """SVG text for per-modality mean curves of one metric with CI bands."""
     rows = [r for r in summaries if r.metric == metric]
     if not rows:
@@ -137,12 +128,11 @@ def render_line_chart(
             f'<text x="{_ML-8}" y="{_fmt(y+4)}" text-anchor="end">{_fmt_tick(t)}</text>'
         )
     parts.append(
-        f'<text x="{(_ML + _W - _MR)/2:.1f}" y="{_H-15}" text-anchor="middle">{x_label}</text>'
+        f'<text x="{(_ML + _W - _MR)/2:.1f}" y="{_H-15}" text-anchor="middle">network size</text>'
     )
-    label = y_label if y_label is not None else metric
     parts.append(
         f'<text x="18" y="{(_MT + _H - _MB)/2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {(_MT + _H - _MB)/2:.1f})">{label}</text>'
+        f'transform="rotate(-90 18 {(_MT + _H - _MB)/2:.1f})">{metric}</text>'
     )
 
     for mod in sorted(series):
@@ -177,21 +167,12 @@ def render_line_chart(
     return "\n".join(parts) + "\n"
 
 
-def plot_metric(
-    records: Iterable[MetricsRecord],
-    metric: str,
-    out_path,
-    x_label: str = "network size",
-    y_label: str | None = None,
-) -> None:
-    svg = render_line_chart(summarize(records), metric, x_label, y_label)
+def plot_metric(records: Iterable[MetricsRecord], metric: str, out_path) -> None:
+    svg = render_line_chart(summarize(records), metric)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
 
 
 def plot_file(spec: PlotSpec) -> None:
     """Render a sweep CSV straight to an SVG file."""
-    from .experiments import read_records_csv
-
-    records = read_records_csv(spec.input_path)
-    plot_metric(records, spec.metric, spec.output_path, spec.x_label, spec.y_label)
+    plot_metric(read_records_csv(spec.input_path), spec.metric, spec.output_path)

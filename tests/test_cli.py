@@ -5,8 +5,8 @@ import pytest
 
 from groupnets.cli import main
 from groupnets.dynamics import NoiseModel
-from groupnets.experiments import METRIC_FIELDS, SweepConfig, measure, read_records_csv
-from groupnets.generators import generate
+from groupnets.experiments import METRIC_FIELDS, SweepConfig, measure, read_records_csv, run_sweep
+from groupnets.generators import ModalityParams, generate
 from groupnets.graphs import read_edge_list
 
 
@@ -76,6 +76,37 @@ def test_sweep_with_config(tmp_path):
     records = read_records_csv(out)
     assert len(records) == 2
     assert {r.modality for r in records} == {"bridge"}
+
+
+@pytest.mark.parametrize("flag, value, params", [
+    ("--eps", "0.2", {"epsilon": 0.2}),
+    ("--bundle-scale", "0.1", {"bundle_scale": 0.1}),
+])
+def test_sweep_flags_keep_config_params(tmp_path, flag, value, params):
+    # the flags override one field; the file's other params stay, and an
+    # inclusion the file leaves unset follows epsilon
+    for inclusion in ({"comember_inclusion": 0.5}, {}):
+        payload = {"sizes": [30], "replications": 1,
+                   "modalities": ["comembership", "edge_bundle", "liaison"],
+                   "params": {"branching_pmf": {"2": 1.0}, **inclusion}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        out = tmp_path / "runs.csv"
+        assert run("sweep", "--config", str(cfg_path), flag, value, "--out", str(out)) == 0
+        want = SweepConfig(sizes=(30,), replications=1, modalities=tuple(payload["modalities"]),
+                           params=ModalityParams(branching_pmf={2: 1.0}, **inclusion, **params))
+        assert read_records_csv(out) == run_sweep(want)
+
+
+def test_sweep_flags_get_config_checks(tmp_path, capsys):
+    out = tmp_path / "runs.csv"
+    assert run("sweep", "--sizes", "30", "--reps", "1", "--eps", "1.5", "--out", str(out)) == 2
+    assert "epsilon must lie in (0,1)" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"sizes": [30], "replications": 1, "params": 5}')
+    assert run("sweep", "--config", str(cfg_path), "--eps", "0.2", "--out", str(out)) == 2
+    assert "params must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_missing_sizes_is_computation_error(tmp_path):
@@ -154,6 +185,21 @@ def test_computation_errors_exit_2(tmp_path, capsys):
     assert run("regress", "--in", str(tmp_path / "missing.csv"), "--metric", "rho2") == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("n, edge, message", [
+    (3.7, [0, 1], "n must be an integer"),
+    (3, [0, 1.5], "edges must be integers"),
+])
+def test_metrics_rejects_non_integer_graph(tmp_path, capsys, n, edge, message):
+    doc = {"n": n, "edges": [edge, [1, 2]], "groups": [[0, 1, 2]], "liaisons": [],
+           "modality": "bridge", "seed": 0}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert run("metrics", "--in", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and not captured.out
 
 
 def test_help_exits_zero():

@@ -301,6 +301,22 @@ def test_measure_shares_one_block_search(monkeypatch):
         steady_state_deviation(sys, hitting_times(sys).H, NoiseModel(1.0)), rel=1e-9, abs=0.0)
 
 
+def test_measure_makes_one_edge_pass(monkeypatch):
+    # above both switches, the path lengths and delta_ss of a record read
+    # one block-diagonal adjacency, built in one pass over the edges
+    calls = []
+    real = graphs._edge_slices
+
+    def counted(g):
+        calls.append(1)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "_edge_slices", counted)
+    g = generate("bridge", dynamics._DENSE_MAX_N + 50, seed=2).graph
+    measure(g, NoiseModel(1.0), with_delta=True)
+    assert len(calls) == 1
+
+
 def test_failure_rows(monkeypatch, tmp_path):
     calls = {}
 

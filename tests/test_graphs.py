@@ -322,6 +322,8 @@ def test_graph_rejects_self_loops_and_out_of_range(case, node, beyond):
         Graph(n, pairs + [(node % n, n - 1 + beyond)])
     with pytest.raises(ValueError, match="out of range"):
         Graph(n, [(-beyond, node % n)] + pairs)
+    with pytest.raises(ValueError, match="edges must be integers"):
+        Graph(n, pairs + [(node % n, 0.5)])
 
 
 @st.composite
@@ -350,10 +352,23 @@ def test_blocks_match_networkx(case):
     want = {frozenset(c) for c in nx.biconnected_components(G)}
     assert {frozenset(m) for m in members.values()} == want
     assert len(members) == len(want)  # no block found twice
-    # the edges of a block join two of its members
-    e = g.edges
-    for (u, v), b in zip(e.tolist(), cut.edge_blocks(e[:, 0], e[:, 1]).tolist()):
-        assert {u, v} <= members[b]
+    # the blocks of two members come first, the larger ones in ascending
+    # order of size, each a run of entries, and starts opens each larger one
+    sizes = [len(members[b]) for b in cut.block.tolist()]
+    two = 2 * cut.pairs
+    assert sizes == sorted(sizes)
+    assert set(sizes[:two]) <= {2} and set(sizes[two:]) <= set(range(3, n + 1))
+    runs = np.flatnonzero(np.diff(cut.block, prepend=-1))
+    assert cut.block[runs].tolist() == list(range(len(members)))
+    assert cut.starts.tolist() == (runs[runs >= two] - two).tolist() + [cut.block.size - two]
+    # every edge lies in exactly one block: a pair's entries, or one row of
+    # the larger blocks' adjacency, whose entries join members of one block
+    found = [frozenset(cut.node[i:i + 2].tolist()) for i in range(0, two, 2)]
+    rows = np.repeat(np.arange(cut.block.size - two), np.diff(cut.indptr))
+    for r, c in zip(rows.tolist(), cut.indices.tolist()):
+        assert cut.block[two + r] == cut.block[two + c]
+        found.append(frozenset(cut.node[[two + r, two + c]].tolist()))
+    assert sorted(map(sorted, found)) == g.edges.tolist()
     # w_B(x): the nodes left with x once the other members of B are removed,
     # and their volume, the sum of d + 1; the top is the member left with node 0
     tops = set()
