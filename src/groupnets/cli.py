@@ -137,6 +137,8 @@ def _cmd_sweep(args) -> None:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             payload = json.loads(fh.read())
+    elif args.sizes is None or args.reps is None:
+        raise ValueError("without --config, both --sizes and --reps are required")
     # the flags override the file's keys and go through the same checks
     if type(payload) is dict:
         sizes = None if args.sizes is None else [int(s) for s in args.sizes.split(",")]

@@ -284,37 +284,26 @@ def test_eigensolver_failure_gives_bare_record(monkeypatch):
 
 def test_measure_shares_one_block_search(monkeypatch):
     # above both switches, the path lengths and delta_ss of a record come
-    # from one depth-first search of the graph
+    # from one depth-first search of the graph and one pass over its edges
     calls = []
-    real = graphs.csgraph.depth_first_order
+    searches = graphs.csgraph.depth_first_order
+    edge_slices = graphs._edge_slices
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(real):
+        def call(*args, **kwargs):
+            calls.append(real)
+            return real(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(graphs.csgraph, "depth_first_order", counted)
+    monkeypatch.setattr(graphs.csgraph, "depth_first_order", counted(searches))
+    monkeypatch.setattr(graphs, "_edge_slices", counted(edge_slices))
     g = generate("edge_bundle", dynamics._DENSE_MAX_N + 50, seed=4).graph
     got = measure(g, NoiseModel(1.0), with_delta=True)
-    assert len(calls) == 1
+    assert calls.count(searches) == 1
+    assert calls.count(edge_slices) == 1
     sys = build_consensus_matrix(g)
     assert got["delta_ss"] == pytest.approx(
         steady_state_deviation(sys, hitting_times(sys).H, NoiseModel(1.0)), rel=1e-9, abs=0.0)
-
-
-def test_measure_makes_one_edge_pass(monkeypatch):
-    # above both switches, the path lengths and delta_ss of a record read
-    # one block-diagonal adjacency, built in one pass over the edges
-    calls = []
-    real = graphs._edge_slices
-
-    def counted(g):
-        calls.append(1)
-        return real(g)
-
-    monkeypatch.setattr(graphs, "_edge_slices", counted)
-    g = generate("bridge", dynamics._DENSE_MAX_N + 50, seed=2).graph
-    measure(g, NoiseModel(1.0), with_delta=True)
-    assert len(calls) == 1
 
 
 def test_failure_rows(monkeypatch, tmp_path):
