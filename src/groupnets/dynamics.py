@@ -10,9 +10,14 @@ Each quantity has one entry point taking a ``Graph``: ``spectral_radius``
 gives the dominant adjacency eigenvalue, from which
 ``propagation_growth_rates`` gives SI/SIS growth; ``consensus_spectrum``
 gives the second largest eigenvalue modulus of ``W`` and the steady-state
-disagreement under noise.  It has two regimes.  Up to ``_DENSE_MAX_N``
-nodes one dense eigendecomposition of ``S`` gives both.  Above it no
-dense eigensolve runs and no n-by-n array is allocated: rho2 comes from
+disagreement under noise.  Each has a small-graph regime, where the
+fixed cost of a sparse solver call exceeds the arithmetic and LAPACK
+works on n-by-n arrays.  Up to ``graphs._SMALL_MAX_N`` nodes, the size up
+to which the structural metrics also use dense arrays, the dominant
+eigenvalue comes from a dense ``eigvalsh``, and above it from ARPACK.  Up
+to ``_DENSE_MAX_N`` nodes ``S`` is built dense and one dense
+eigendecomposition of it gives rho2 and delta_ss.  Above it no dense
+eigensolve runs and no n-by-n array is allocated: rho2 comes from
 shift-invert Lanczos on the sparse ``S``, and delta_ss from effective
 resistances summed over the biconnected blocks (Tetali's hitting-time
 formula), one small Cholesky factorization per block.  The dense
@@ -29,6 +34,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
+from . import graphs
 from .graphs import _EDGE_SLICE, Graph, _blocks, _one_component, _row_slices, is_connected
 
 __all__ = [
@@ -155,15 +161,24 @@ def build_consensus_matrix(g: Graph) -> ConsensusSystem:
 def spectral_radius(g: Graph) -> float:
     """Largest adjacency eigenvalue of a graph; 0 for a graph with no edges.
 
-    ARPACK's Lanczos iteration runs on the sparse adjacency, started from
-    the all-ones vector (never orthogonal to the nonnegative dominant
-    eigenvector) so results are deterministic.
+    Up to ``graphs._SMALL_MAX_N`` nodes LAPACK gives the top eigenvalue of
+    the dense adjacency alone, where ARPACK's Python-level iterations cost
+    more than the arithmetic.  Above it ARPACK's Lanczos iteration runs on
+    the sparse adjacency, started from the all-ones vector (never orthogonal
+    to the nonnegative dominant eigenvector) so results are deterministic.
     """
     # ARPACK maps the zero matrix's start to zero
     if g.edge_count == 0:
         return 0.0
+    n = g.n
+    if n <= graphs._SMALL_MAX_N:
+        try:
+            vals = scipy.linalg.eigvalsh(g.to_dense(), subset_by_index=[n - 1, n - 1])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"dense eigensolve failed: {exc}") from exc
+        return float(vals[0])
     try:
-        vals = eigsh(g.to_csr(), k=1, which="LA", v0=np.ones(g.n), return_eigenvectors=False)
+        vals = eigsh(g.to_csr(), k=1, which="LA", v0=np.ones(n), return_eigenvectors=False)
     except ArpackError as exc:
         raise ConvergenceError(f"Lanczos iteration failed: {exc}") from exc
     return float(vals[0])
@@ -172,11 +187,12 @@ def spectral_radius(g: Graph) -> float:
 def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float, float | None]:
     """rho2 of a connected graph's averaging matrix and, given noise, delta_ss.
 
-    Builds S = (D+I)^-1/2 (A+I) (D+I)^-1/2, the symmetrized W, sparse from
-    the adjacency; delta_ss is None without ``noise``.
+    Builds S = (D+I)^-1/2 (A+I) (D+I)^-1/2, the symmetrized W, from the
+    adjacency; delta_ss is None without ``noise``.
 
-    Up to ``_DENSE_MAX_N`` nodes one dense eigendecomposition of S gives
-    both.  With eigenpairs (lambda_k, u_k) of S, lambda_1 = 1 and u_1 =
+    Up to ``_DENSE_MAX_N`` nodes S is built dense, from the dense adjacency
+    and the same products 1/sqrt((d_i + 1)(d_j + 1)) as the sparse build,
+    and one dense eigendecomposition of it gives both.  With eigenpairs (lambda_k, u_k) of S, lambda_1 = 1 and u_1 =
     sqrt(pi), the fundamental matrix has Z_jj - pi_j = sum_{k>=2} u_kj^2 /
     (1 - lambda_k), so delta_ss = sum_j pi_j sigma2_j (Z_jj - pi_j) needs no
     n-by-n Z or H (Levin, Peres and Wilmer, Markov Chains and Mixing
@@ -195,17 +211,21 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
     rho2 = lambda2; otherwise one more Lanczos run gives lambda_min.
     """
     n = g.n
-    S, d1, diag = _symmetrized(g)
-    # S has the pattern of A + I, so its components are the graph's
-    if n == 0 or not _one_component(S):
-        raise ValueError("consensus metrics require a connected graph (irreducibility)")
-    sigma2 = None if noise is None else noise.variances(n)
     if n <= _DENSE_MAX_N:
+        # is_connected refuses the empty graph
+        if n == 0 or not is_connected(g):
+            raise ValueError("consensus metrics require a connected graph (irreducibility)")
+        sigma2 = None if noise is None else noise.variances(n)
+        # S = A + I scaled by 1/sqrt(d1_i d1_j), the same products as the sparse build
+        d1 = g.degrees() + 1.0
+        S = g.to_dense()
+        np.fill_diagonal(S, 1.0)
+        S *= 1.0 / np.sqrt(np.outer(d1, d1))
         try:
             if sigma2 is None:
-                lam = scipy.linalg.eigvalsh(S.toarray(), driver="evd")
+                lam = scipy.linalg.eigvalsh(S, driver="evd")
             else:
-                lam, U = scipy.linalg.eigh(S.toarray(), driver="evd")
+                lam, U = scipy.linalg.eigh(S, driver="evd")
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"dense eigendecomposition failed: {exc}") from exc
         # the ascending spectrum ends with the Perron eigenvalue 1
@@ -215,6 +235,11 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
         excess = U[:, :-1] ** 2 @ (1.0 / (1.0 - lam[:-1]))
         pi = d1 / d1.sum()
         return rho2, float(pi * sigma2 @ excess)
+    S, d1, diag = _symmetrized(g)
+    # S has the pattern of A + I, so its components are the graph's
+    if not _one_component(S):
+        raise ValueError("consensus metrics require a connected graph (irreducibility)")
+    sigma2 = None if noise is None else noise.variances(n)
     delta = None if sigma2 is None else _resistance_deviation(g, d1, sigma2)
     # a fixed-seed start: deterministic, and generic with respect to graph
     # symmetries (a structured start can be orthogonal to an eigenvector)
@@ -332,7 +357,8 @@ def _resistance_deviation(g: Graph, d1: np.ndarray, sigma2: np.ndarray) -> float
 
 def _symmetrized(g: Graph) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """S = (D+I)^-1/2 (A+I) (D+I)^-1/2 in CSR form, the row counts d + 1 of
-    A + I, and the position of each diagonal entry in ``S.data``.
+    A + I, and the position of each diagonal entry in ``S.data``, for
+    ``consensus_spectrum`` above ``_DENSE_MAX_N`` nodes.
 
     S is built from the adjacency pattern a slice of rows at a time, with no
     other array as large as S.

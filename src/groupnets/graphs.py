@@ -31,9 +31,14 @@ __all__ = [
     "read_edge_list",
 ]
 
-# Largest n at which average_shortest_path sums the full distance matrix;
-# above it the block-cut sum is faster (measured crossover, one BLAS thread)
-_ASP_DIJKSTRA_MAX_N = 100
+# Largest n at which a record's small-graph paths work on n-by-n arrays:
+# average_shortest_path sums the full distance matrix, average_clustering
+# multiplies the dense adjacency and dynamics.spectral_radius takes a dense
+# eigvalsh.  Medians on generated graphs, one BLAS thread: at n = 100 dense
+# wins for lambda_max (0.41 against 0.90-1.14 ms) and for clustering (0.06-0.09
+# against 0.25-0.29 ms), and the block-cut path length loses below it; at
+# n = 200 the dense lambda_max loses to eigsh
+_SMALL_MAX_N = 100
 # rows of one block-diagonal distance batch of the block-cut sum, and the
 # distances one shortest-path call computes at most (unless one row is longer)
 _ASP_BATCH_NODES = 256
@@ -197,7 +202,7 @@ def average_shortest_path(g: Graph) -> float:
     """Mean BFS distance over ordered node pairs.
 
     Requires a connected graph with at least two nodes.  Up to
-    ``_ASP_DIJKSTRA_MAX_N`` nodes the mean comes from the full n-by-n
+    ``_SMALL_MAX_N`` nodes the mean comes from the full n-by-n
     distance matrix.  Above it, the sum of distances (the Wiener index) is
     summed block by block over the biconnected blocks, since a shortest
     path between two nodes of one block stays inside it and every path
@@ -214,7 +219,7 @@ def average_shortest_path(g: Graph) -> float:
     """
     if g.n < 2:
         raise ValueError("average shortest path needs at least 2 nodes")
-    if g.n <= _ASP_DIJKSTRA_MAX_N:
+    if g.n <= _SMALL_MAX_N:
         dist = csgraph.shortest_path(g.to_csr(), method="D", unweighted=True, directed=False)
         if np.isinf(dist).any():
             raise ValueError("graph is disconnected: unreachable pair encountered")
@@ -360,25 +365,35 @@ def _blocks(g: Graph) -> _BlockCut:
 
 
 def average_clustering(g: Graph) -> float:
-    """Mean local clustering coefficient; nodes of degree < 2 contribute 0."""
+    """Mean local clustering coefficient; nodes of degree < 2 contribute 0.
+
+    t_i = ((A @ A) * A) summed over row i counts twice the edges among the
+    neighbours of i.  Up to ``_SMALL_MAX_N`` nodes it comes from the dense
+    adjacency, where scipy's sparse product costs more than the arithmetic;
+    above it from the sparse one, a slice of rows at a time.  The counts are
+    integers, so both give the same float.
+    """
     if g.n == 0:
         raise ValueError("clustering undefined on the empty graph")
     if g.edge_count == 0:
         return 0.0
-    a = g.to_csr()
     deg = g.degrees().astype(np.float64)
-    # t[i] = sum over neighbors j of |N(i) & N(j)| = 2 * (edges among neighbors of i).
-    # A group of s nodes has s**2 paths of length two, so the rows go in
-    # slices whose paths reach about _CLUSTERING_ENTRIES nodes in all; a
-    # row's paths reach at most n
-    cuts = [0, g.n]
-    if g.n * g.n > _CLUSTERING_ENTRIES:
-        reach = np.concatenate(([0.0], np.cumsum(np.minimum(a @ deg, g.n))))
-        cuts = _row_slices(reach, _CLUSTERING_ENTRIES)
-    t = np.empty(g.n)
-    for lo, hi in zip(cuts, cuts[1:]):
-        rows = a if hi - lo == g.n else a[lo:hi]
-        t[lo:hi] = np.asarray((rows @ a).multiply(rows).sum(axis=1)).ravel()
+    if g.n <= _SMALL_MAX_N:
+        a = g.to_dense()
+        t = ((a @ a) * a).sum(axis=1)
+    else:
+        a = g.to_csr()
+        # A group of s nodes has s**2 paths of length two, so the rows go in
+        # slices whose paths reach about _CLUSTERING_ENTRIES nodes in all; a
+        # row's paths reach at most n
+        cuts = [0, g.n]
+        if g.n * g.n > _CLUSTERING_ENTRIES:
+            reach = np.concatenate(([0.0], np.cumsum(np.minimum(a @ deg, g.n))))
+            cuts = _row_slices(reach, _CLUSTERING_ENTRIES)
+        t = np.empty(g.n)
+        for lo, hi in zip(cuts, cuts[1:]):
+            rows = a if hi - lo == g.n else a[lo:hi]
+            t[lo:hi] = np.asarray((rows @ a).multiply(rows).sum(axis=1)).ravel()
     denom = deg * (deg - 1.0)
     coeffs = np.divide(t, denom, out=np.zeros_like(t), where=denom > 0)
     return float(coeffs.mean())
@@ -447,17 +462,24 @@ class GraphDocument:
     @classmethod
     def from_json_text(cls, text: str) -> "GraphDocument":
         payload = json.loads(text)
+        groups = tuple(tuple(grp) for grp in payload["groups"])
+        liaisons = tuple(payload["liaisons"])
+        seed = payload.get("seed")
         # exact type: int() would truncate a float, and JSON true loads as a bool
-        if type(payload["n"]) is not int:
-            raise ValueError(f"n must be an integer, got {payload['n']!r}")
+        for name, values in (("n", [payload["n"]]), ("seed", [] if seed is None else [seed]),
+                             ("each group member", [x for grp in groups for x in grp]),
+                             ("each liaison", liaisons)):
+            bad = [x for x in values if type(x) is not int]
+            if bad:
+                raise ValueError(f"{name} must be an integer, got {bad[0]!r}")
         edges = tuple(sorted((min(u, v), max(u, v)) for u, v in payload["edges"]))
         return cls(
             n=payload["n"],
             edges=edges,
-            groups=tuple(tuple(int(x) for x in grp) for grp in payload["groups"]),
-            liaisons=tuple(int(x) for x in payload["liaisons"]),
+            groups=groups,
+            liaisons=liaisons,
             modality=str(payload["modality"]),
-            seed=None if payload.get("seed") is None else int(payload["seed"]),
+            seed=seed,
         )
 
     def write(self, path) -> None:

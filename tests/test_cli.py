@@ -202,5 +202,23 @@ def test_metrics_rejects_non_integer_graph(tmp_path, capsys, n, edge, message):
     assert message in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("groups", [[0, 1.5, 2]], "each group member must be an integer, got 1.5"),
+    ("liaisons", [2.9], "each liaison must be an integer, got 2.9"),
+    ("seed", 7.5, "seed must be an integer, got 7.5"),
+    ("seed", True, "seed must be an integer, got True"),
+])
+def test_metrics_rejects_non_integer_document_fields(tmp_path, capsys, field, value, message):
+    # int() would load these as groups ((0, 1, 2),), liaisons (2,) and seed 7 or 1
+    doc = {"n": 3, "edges": [[0, 1], [1, 2]], "groups": [[0, 1, 2]], "liaisons": [],
+           "modality": "bridge", "seed": 0, field: value}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert run("metrics", "--in", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and not captured.out
+
+
 def test_help_exits_zero():
     assert run("--help") == 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from groupnets import dynamics
+from groupnets import dynamics, graphs
 from groupnets.dynamics import (
     ConsensusSystem,
     ConvergenceError,
@@ -118,7 +118,16 @@ def test_solver_failures_raise_convergence_error(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("injected", np.empty(0), np.empty(0))
 
+    def lapack_failure(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    # up to the small-graph switch lambda_max comes from LAPACK, above it from ARPACK
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", lapack_failure)
+    with pytest.raises(ConvergenceError):
+        spectral_radius(PATH3)
+    monkeypatch.undo()
     monkeypatch.setattr(dynamics, "eigsh", no_convergence)
+    monkeypatch.setattr(graphs, "_SMALL_MAX_N", 0)
     with pytest.raises(ConvergenceError):
         spectral_radius(PATH3)
     monkeypatch.setattr(dynamics, "_DENSE_MAX_N", 0)
@@ -168,6 +177,32 @@ def test_symmetrized_matches_scaled_adjacency(monkeypatch):
                 assert np.array_equal(getattr(S, name), getattr(ref, name)), name
             assert np.array_equal(got_d1, d1)
             assert np.array_equal(diag, np.flatnonzero(ref.indices == rows))
+
+
+def test_dense_s_matches_sparse_build(monkeypatch):
+    # up to _DENSE_MAX_N, the S handed to the dense eigensolver is the sparse
+    # build's, array for array, with and without noise
+    seen = []
+
+    def recorded(real):
+        def call(a, *args, **kwargs):
+            seen.append(a.copy())
+            return real(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", recorded(scipy.linalg.eigvalsh))
+    monkeypatch.setattr(scipy.linalg, "eigh", recorded(scipy.linalg.eigh))
+    rng = np.random.default_rng(6)
+    graphs_ = [random_connected(rng, int(rng.integers(1, 40))) for _ in range(20)]
+    graphs_ += [generate(m, 200, seed=2).graph for m in MODALITIES]
+    for g in graphs_:
+        assert g.n <= dynamics._DENSE_MAX_N
+        for noise in (None, NoiseModel(1.0)):
+            seen.clear()
+            consensus_spectrum(g, noise)
+            (S,) = seen
+            want = dynamics._symmetrized(g)[0].toarray()
+            assert S.dtype == want.dtype and np.array_equal(S, want)
 
 
 def test_eigen_oracle_small_graphs():

@@ -212,8 +212,9 @@ def _brute_rho2(sys):
 def test_measure_matches_dense_oracles(monkeypatch):
     # every field of measure against an independent reference: delta_ss
     # against the Kemeny-Snell hitting-time form, rho2 and lambda_max
-    # against brute-force eigvalsh (rho2 on both sides of the dense/Lanczos
-    # size switch), the structural fields against networkx; the absolute
+    # against brute-force eigvalsh, the structural fields against networkx;
+    # rho2 on both sides of the dense/Lanczos size switch, lambda_max and
+    # clustering on both sides of the small-graph switch; the absolute
     # floor covers a rho2 of exactly 0 (complete graphs)
     rng = np.random.default_rng(8)
     for trial in range(120):
@@ -236,15 +237,19 @@ def test_measure_matches_dense_oracles(monkeypatch):
         assert got["lambda_max"] == pytest.approx(ref_lambda, rel=1e-12, abs=0.0)
         assert got["avg_shortest_path"] == pytest.approx(
             nx.average_shortest_path_length(nxg), rel=0.0, abs=1e-12)
-        assert got["clustering"] == pytest.approx(nx.average_clustering(nxg), rel=0.0, abs=1e-12)
+        ref_clustering = nx.average_clustering(nxg)
+        assert got["clustering"] == pytest.approx(ref_clustering, rel=0.0, abs=1e-12)
         assert got["density"] == pytest.approx(nx.density(nxg), rel=0.0, abs=1e-12)
         assert got["avg_degree"] == pytest.approx(
             sum(d for _, d in nxg.degree()) / g.n, rel=0.0, abs=1e-12)
-        for dense_max_n in (g.n, g.n - 1):
-            monkeypatch.setattr(dynamics, "_DENSE_MAX_N", dense_max_n)
+        for switch in (g.n, g.n - 1):
+            monkeypatch.setattr(dynamics, "_DENSE_MAX_N", switch)
+            monkeypatch.setattr(graphs, "_SMALL_MAX_N", switch)
             got = measure(g, noise, with_delta=False)
             assert got["delta_ss"] is None
             assert got["rho2"] == pytest.approx(ref_rho2, rel=1e-9, abs=1e-12)
+            assert got["lambda_max"] == pytest.approx(ref_lambda, rel=1e-12, abs=0.0)
+            assert got["clustering"] == pytest.approx(ref_clustering, rel=0.0, abs=1e-12)
 
 
 def test_lanczos_rho2_above_dense_max_n():

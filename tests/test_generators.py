@@ -393,9 +393,9 @@ def assert_generator_invariants(mg, n, params):
         if mg.modality == "comembership":
             assert len(mg.extra_memberships) == k - 1
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "_ASP_DIJKSTRA_MAX_N", 0)
+        mp.setattr(graphs, "_SMALL_MAX_N", 0)
         block_cut = average_shortest_path(g)
-        mp.setattr(graphs, "_ASP_DIJKSTRA_MAX_N", g.n)
+        mp.setattr(graphs, "_SMALL_MAX_N", g.n)
         assert block_cut == average_shortest_path(g)
 
 

@@ -52,14 +52,21 @@ def bfs_distances(g, source):
 def dijkstra_asp(g):
     """average_shortest_path through the full distance matrix, at any n."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "_ASP_DIJKSTRA_MAX_N", g.n)
+        mp.setattr(graphs, "_SMALL_MAX_N", g.n)
         return average_shortest_path(g)
+
+
+def dense_clustering(g):
+    """average_clustering through the dense adjacency, at any n."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_SMALL_MAX_N", g.n)
+        return average_clustering(g)
 
 
 def block_cut_asp(g):
     """average_shortest_path through the biconnected blocks, at any n."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "_ASP_DIJKSTRA_MAX_N", 0)
+        mp.setattr(graphs, "_SMALL_MAX_N", 0)
         return average_shortest_path(g)
 
 
@@ -256,8 +263,10 @@ def edge_lists(draw):
 @given(edge_lists())
 def test_graph_matches_networkx(case):
     # crossover 0: every graph takes the block-cut path of average_shortest_path
+    # and the sparse one of average_clustering; the check compares both
+    # against their dense paths
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "_ASP_DIJKSTRA_MAX_N", 0)
+        mp.setattr(graphs, "_SMALL_MAX_N", 0)
         check_graph_against_networkx(case)
 
 
@@ -267,7 +276,7 @@ def test_graph_matches_networkx_in_slices(case):
     # every edge pass, S build, distance batch and clustering slice cut into
     # pieces of a few entries, and the CSR built on each call
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "_ASP_DIJKSTRA_MAX_N", 0)
+        mp.setattr(graphs, "_SMALL_MAX_N", 0)
         mp.setattr(graphs, "_EDGE_SLICE", 5)
         mp.setattr(graphs, "_CSR_CACHE_ENTRIES", 0)
         mp.setattr(graphs, "_ASP_DIST_CELLS", 3)
@@ -310,6 +319,7 @@ def check_graph_against_networkx(case):
         with pytest.raises(ValueError, match="disconnected"):
             average_shortest_path(g)
     assert average_clustering(g) == pytest.approx(nx.average_clustering(G), rel=1e-12, abs=1e-15)
+    assert average_clustering(g) == dense_clustering(g)
 
 
 @settings(max_examples=100, deadline=None)
