@@ -192,11 +192,12 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
 
     Up to ``_DENSE_MAX_N`` nodes S is built dense, from the dense adjacency
     and the same products 1/sqrt((d_i + 1)(d_j + 1)) as the sparse build,
-    and one dense eigendecomposition of it gives both.  With eigenpairs (lambda_k, u_k) of S, lambda_1 = 1 and u_1 =
-    sqrt(pi), the fundamental matrix has Z_jj - pi_j = sum_{k>=2} u_kj^2 /
-    (1 - lambda_k), so delta_ss = sum_j pi_j sigma2_j (Z_jj - pi_j) needs no
-    n-by-n Z or H (Levin, Peres and Wilmer, Markov Chains and Mixing
-    Times, spectral representation of reversible chains).
+    and one dense eigendecomposition of it gives both.  With eigenpairs
+    (lambda_k, u_k) of S, lambda_1 = 1 and u_1 = sqrt(pi), the fundamental
+    matrix has Z_jj - pi_j = sum_{k>=2} u_kj^2 / (1 - lambda_k), so
+    delta_ss = sum_j pi_j sigma2_j (Z_jj - pi_j) needs no n-by-n Z or H
+    (Levin, Peres and Wilmer, Markov Chains and Mixing Times, spectral
+    representation of reversible chains).
 
     Above it no dense eigensolve runs and no n-by-n array is allocated.
     delta_ss comes from effective resistances summed over the graph's
@@ -216,7 +217,6 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
         if n == 0 or not is_connected(g):
             raise ValueError("consensus metrics require a connected graph (irreducibility)")
         sigma2 = None if noise is None else noise.variances(n)
-        # S = A + I scaled by 1/sqrt(d1_i d1_j), the same products as the sparse build
         d1 = g.degrees() + 1.0
         S = g.to_dense()
         np.fill_diagonal(S, 1.0)

@@ -34,10 +34,11 @@ __all__ = [
 # Largest n at which a record's small-graph paths work on n-by-n arrays:
 # average_shortest_path sums the full distance matrix, average_clustering
 # multiplies the dense adjacency and dynamics.spectral_radius takes a dense
-# eigvalsh.  Medians on generated graphs, one BLAS thread: at n = 100 dense
-# wins for lambda_max (0.41 against 0.90-1.14 ms) and for clustering (0.06-0.09
-# against 0.25-0.29 ms), and the block-cut path length loses below it; at
-# n = 200 the dense lambda_max loses to eigsh
+# eigvalsh.  Medians over generated graphs (4 modalities x 2 seeds, best of
+# 5), one BLAS thread: at n = 100 dense wins for lambda_max (0.47 against
+# 1.16 ms) and for clustering (0.09 against 0.34 ms), and the block-cut path
+# length loses below it; the dense lambda_max ties eigsh near n = 150 and
+# loses at n = 200 (1.6 against 0.9 ms)
 _SMALL_MAX_N = 100
 # rows of one block-diagonal distance batch of the block-cut sum, and the
 # distances one shortest-path call computes at most (unless one row is longer)
