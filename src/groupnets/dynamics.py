@@ -35,7 +35,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from . import graphs
-from .graphs import _EDGE_SLICE, Graph, _blocks, _one_component, _row_slices, is_connected
+from .graphs import _EDGE_SLICE, Graph, _blocks, _one_component, _row_slices, _stacks, is_connected
 
 __all__ = [
     "ConsensusSystem",
@@ -63,10 +63,6 @@ __all__ = [
 # n = 200 and Lanczos wins from 300; for both, the dense eigh takes 3.1,
 # 4.6 and 6.9 ms at n = 200, 250 and 300, against 2.4, 2.6 and 2.7 ms.
 _DENSE_MAX_N = 250
-# the grounded block Laplacians of delta_ss are stacked, padded to a
-# multiple of _LAPLACIAN_PAD rows, about _LAPLACIAN_CELLS entries a stack
-_LAPLACIAN_PAD = 8
-_LAPLACIAN_CELLS = 1 << 18
 
 
 class ConvergenceError(RuntimeError):
@@ -283,14 +279,13 @@ def _resistance_deviation(g: Graph, d1: np.ndarray, sigma2: np.ndarray) -> float
     through y.  ``_blocks`` lists the two-node blocks first: u of one end
     is P_B of the other.  A larger block takes one Cholesky factorization
     of its Laplacian grounded at its first member, whose inverse G (zero
-    on that member) gives R^B_jy = G_jj + G_yy - 2 G_jy.  The larger
-    blocks come in ascending order of size, so those of one padded size
-    are one run of rows and edges of ``_blocks``' adjacency, and a slice
-    of that run at a time goes through numpy's stacked Cholesky and
-    inverse.  Then r at node 0 is the sum of u_B over the blocks' tops,
-    and r_j = r_top + u_B(j) - u_B(top) for each block B below it.  The
-    largest array is a stack of about ``_LAPLACIAN_CELLS`` entries, or the
-    square of the largest block if that is larger.
+    on that member) gives R^B_jy = G_jj + G_yy - 2 G_jy.  The grounded
+    Laplacians go through numpy's stacked Cholesky and inverse in the
+    stacks of ``graphs._stacks``.  Then r at node 0 is the sum of u_B over
+    the blocks' tops, and r_j = r_top + u_B(j) - u_B(top) for each block B
+    below it.  The largest array is a stack of about
+    ``graphs._STACK_CELLS`` entries, or the square of the largest block if
+    that is larger.
     """
     cut = _blocks(g)
     total = d1.sum()
@@ -299,25 +294,15 @@ def _resistance_deviation(g: Graph, d1: np.ndarray, sigma2: np.ndarray) -> float
     two = 2 * cut.pairs
     u = np.empty(mass.size)
     u[:two] = mass[:two].reshape(-1, 2)[:, ::-1].ravel()
-    starts, indptr, indices = cut.starts, cut.indptr, cut.indices
     # a block's grounded Laplacian drops its first row; the stacks are
-    # padded to a multiple of _LAPLACIAN_PAD rows, identity on the padding,
-    # and cut where the padded size changes
-    pad = -(-(np.diff(starts) - 1) // _LAPLACIAN_PAD) * _LAPLACIAN_PAD
-    cells = np.concatenate(([0], np.cumsum(pad * pad)))
-    cuts = np.union1d(_row_slices(cells, _LAPLACIAN_CELLS), np.flatnonzero(np.diff(pad)) + 1)
-    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        a, b, m = starts[lo], starts[hi], pad[lo]
-        # row i of the stack (row a + i of the adjacency) is row loc[i] of
-        # the grounded Laplacian t[i] of the stack, -1 for the ground
-        t = np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
-        loc = np.arange(a, b) - starts[lo:hi][t] - 1
+    # identity on the padding
+    for rows, t, loc, src, dst, m in _stacks(cut, ground=1):
+        # row i of the stack is row loc[i] of the grounded Laplacian t[i] of
+        # the stack, -1 for the ground
         real = loc >= 0
-        src = np.repeat(np.arange(b - a), np.diff(indptr[a:b + 1]))
-        dst = indices[indptr[a]:indptr[b]] - a
-        lap = np.zeros((hi - lo, m, m))
+        lap = np.zeros((t[-1] + 1, m, m))
         lap[:, np.arange(m), np.arange(m)] = 1.0
-        degree = np.bincount(src, minlength=b - a) + np.bincount(dst, minlength=b - a)
+        degree = np.bincount(src, minlength=t.size) + np.bincount(dst, minlength=t.size)
         lap[t[real], loc[real], loc[real]] = degree[real]
         # the edges the grounded Laplacians keep: those off the ground
         off = real[src] & real[dst]
@@ -329,16 +314,16 @@ def _resistance_deviation(g: Graph, d1: np.ndarray, sigma2: np.ndarray) -> float
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"block Laplacian factorization failed: {exc}") from exc
         del lap
-        held = mass[two + a:two + b]
-        P = np.zeros((hi - lo, m))
+        held = mass[rows]
+        P = np.zeros((t[-1] + 1, m))
         P[t[real], loc[real]] = held[real]
         GP = (finv.transpose(0, 2, 1) @ (finv @ P[:, :, None]))[:, :, 0]
         gdiag = np.square(finv, out=finv).sum(axis=1)
         reach = np.bincount(t, weights=held)
         # u_j = G_jj sum(P) + sum_y P_y G_yy - 2 (G P)_j; G is 0 on the ground
         loc = np.maximum(loc, 0)
-        u[two + a:two + b] = ((gdiag * P).sum(axis=1)[t]
-                              + real * (gdiag[t, loc] * reach[t] - 2.0 * GP[t, loc]))
+        u[rows] = ((gdiag * P).sum(axis=1)[t]
+                   + real * (gdiag[t, loc] * reach[t] - 2.0 * GP[t, loc]))
     # every node but node 0 lies below the top of exactly one block, hop[j]:
     # r_j = r_hop[j] + step[j], summed up the tree by pointer jumping
     below = ~cut.top

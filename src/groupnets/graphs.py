@@ -7,6 +7,13 @@ its edge array and its CSR matrix are read from that, and every metric
 runs on them.  The memory of a metric on a graph of a few dense groups
 follows the graph's edge count, so the passes over all edges go a slice
 of rows at a time and keep no temporary as large as the graph.
+
+Above ``_SMALL_MAX_N`` nodes, path length and clustering work on the
+biconnected blocks (``_blocks``).  The blocks of more than two members
+go in stacks of dense float32 arrays of one padded size (``_stacks``),
+and one product A_B A_B per block (``_block_squares``) counts every
+triangle and certifies the blocks of diameter 2, whose distance sums
+have a closed form; only the blocks left uncertified are searched.
 """
 
 from __future__ import annotations
@@ -44,8 +51,11 @@ _SMALL_MAX_N = 100
 # distances one shortest-path call computes at most (unless one row is longer)
 _ASP_BATCH_NODES = 256
 _ASP_DIST_CELLS = 1 << 18
-# two-step path ends counted in one slice of average_clustering
-_CLUSTERING_ENTRIES = 1 << 19
+# the dense blocks of _stacks are padded to a multiple of _STACK_PAD rows,
+# about _STACK_CELLS entries a stack; a larger block is a stack of its own,
+# which _block_squares multiplies about _STACK_CELLS entries at a time
+_STACK_PAD = 8
+_STACK_CELLS = 1 << 18
 # adjacency entries read in one slice of rows by the edge-wise passes
 _EDGE_SLICE = 1 << 16
 # largest adjacency (in stored entries) whose CSR matrix a Graph keeps
@@ -61,7 +71,7 @@ class Graph:
     lexicographic order, on each access.
     """
 
-    __slots__ = ("n", "_indptr", "_indices", "_csr", "_cut")
+    __slots__ = ("n", "_indptr", "_indices", "_csr", "_cut", "_squares")
 
     def __init__(self, n: int, edges: ArrayLike):
         if n < 0:
@@ -109,6 +119,7 @@ class Graph:
         self._indices = arcs.astype(np.int32)
         self._csr = None
         self._cut = None
+        self._squares = None
 
     @property
     def edges(self) -> np.ndarray:
@@ -212,16 +223,26 @@ def average_shortest_path(g: Graph) -> float:
         W = sum_B sum_{x != y in B} w_B(x) w_B(y) d_B(x, y),
 
     where w_B(x) counts the nodes that reach B through x.  ``_blocks``
-    lists the blocks of two nodes first, with d = 1; the larger ones get
-    their distances from its block-diagonal adjacency, in batches of whole
-    blocks of about ``_ASP_BATCH_NODES`` rows, a slice of sources at a
-    time.  No n-by-n array, nor a square one for a large block, is
-    allocated, and the integer sum gives the same float as the dense path.
+    lists the blocks of two nodes first, with d = 1.  A larger block whose
+    non-adjacent members all share a neighbour, as ``_block_squares``
+    certifies from the square of its adjacency, has diameter 2, so
+
+        W_B = 2 [(sum w)^2 - sum w^2] - w^T A_B w,
+
+    an integer ``_block_squares`` sums.  The blocks left uncertified get
+    their distances from their block-diagonal adjacency, in batches of
+    whole blocks of about ``_ASP_BATCH_NODES`` rows, a slice of sources at
+    a time.  No n-by-n array is allocated, nor a square one larger than a
+    block's dense adjacency, and the integer sum gives the same float as
+    the dense path.
     """
     if g.n < 2:
         raise ValueError("average shortest path needs at least 2 nodes")
     if g.n <= _SMALL_MAX_N:
-        dist = csgraph.shortest_path(g.to_csr(), method="D", unweighted=True, directed=False)
+        # the CSR is symmetric, so the directed search gives the same
+        # distances without scipy's symmetrising copy (50 rather than 102 us
+        # a call on a 10-node graph)
+        dist = csgraph.shortest_path(g.to_csr(), method="D", unweighted=True, directed=True)
         if np.isinf(dist).any():
             raise ValueError("graph is disconnected: unreachable pair encountered")
         return float(dist.sum() / (g.n * (g.n - 1)))
@@ -229,18 +250,31 @@ def average_shortest_path(g: Graph) -> float:
     two = 2 * cut.pairs
     # the two members of each 2-node block are adjacent
     total = 2 * int(cut.weight[:two].reshape(-1, 2).prod(axis=1).sum())
-    weight = cut.weight[two:]
+    squares = _block_squares(g)
+    total += squares.wiener
+    # the uncertified blocks as one block-diagonal adjacency: row i of it
+    # is row i + shift[i] of _blocks' adjacency
+    size = np.diff(cut.starts)
+    left = np.flatnonzero(~squares.certified)
+    starts = np.concatenate(([0], np.cumsum(size[left])))
+    shift = np.repeat(cut.starts[left] - starts[:-1], size[left])
+    rows = np.arange(starts[-1]) + shift
+    degree = cut.indptr[rows + 1] - cut.indptr[rows]
+    indptr = np.concatenate(([0], np.cumsum(degree)))
+    indices = cut.indices[np.arange(indptr[-1]) + np.repeat(cut.indptr[rows] - indptr[:-1], degree)]
+    indices -= np.repeat(shift, degree)
+    weight = cut.weight[two + rows]
     # unit weights: the same distances as an unweighted search, without
     # the unit weights it would allocate on every call
-    ones = np.ones(cut.indices.size)
+    ones = np.ones(indices.size)
     # the rows go in batches of whole blocks, about _ASP_BATCH_NODES rows
     # each; a batch's sources go in slices of at most _ASP_DIST_CELLS
     # distances, so a giant block never takes a square distance matrix
-    cuts = cut.starts[_row_slices(cut.starts, _ASP_BATCH_NODES)].tolist()
+    cuts = starts[_row_slices(starts, _ASP_BATCH_NODES)].tolist()
     for lo, hi in zip(cuts, cuts[1:]):
-        p, q = cut.indptr[lo], cut.indptr[hi]
+        p, q = indptr[lo], indptr[hi]
         # each edge once: the search reads it as undirected
-        adj = sp.csr_matrix((ones[p:q], cut.indices[p:q] - lo, cut.indptr[lo:hi + 1] - p),
+        adj = sp.csr_matrix((ones[p:q], indices[p:q] - lo, indptr[lo:hi + 1] - p),
                             shape=(hi - lo, hi - lo))
         w = weight[lo:hi]
         step = max(1, _ASP_DIST_CELLS // (hi - lo))
@@ -365,14 +399,109 @@ def _blocks(g: Graph) -> _BlockCut:
     return g._cut
 
 
+def _stacks(cut: _BlockCut, ground: int = 0):
+    """The blocks of ``cut`` of more than two members, in stacks of dense
+    blocks of one padded size.
+
+    A block's rows, less its first ``ground`` members, are padded to a
+    multiple of ``_STACK_PAD``.  The blocks come in ascending order of
+    size, so those of one padded size are one run of rows and edges of the
+    adjacency; a stack is a slice of that run of about ``_STACK_CELLS``
+    padded entries, and a block of more is a stack of its own.  Yields, for
+    each stack, the slice of ``cut``'s member entries it holds; for its
+    rows i, counted from the first, block t[i] of the stack and row loc[i]
+    of that block's padded array, below 0 for the dropped members; its
+    edges as int32 row pairs ``src, dst``; and the padded size.
+    """
+    starts, indptr, indices = cut.starts, cut.indptr, cut.indices
+    pad = -(-(np.diff(starts) - ground) // _STACK_PAD) * _STACK_PAD
+    cells = np.concatenate(([0], np.cumsum(pad * pad)))
+    cuts = np.union1d(_row_slices(cells, _STACK_CELLS), np.flatnonzero(np.diff(pad)) + 1)
+    two = 2 * cut.pairs
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        a, b = int(starts[lo]), int(starts[hi])
+        t = np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
+        loc = np.arange(a, b) - starts[lo:hi][t] - ground
+        src = np.repeat(np.arange(b - a, dtype=np.int32), np.diff(indptr[a:b + 1]))
+        dst = indices[indptr[a]:indptr[b]] - a
+        yield slice(two + a, two + b), t, loc, src, dst, int(pad[lo])
+
+
+class _Squares(NamedTuple):
+    """What the squares of the dense block adjacencies give, for
+    ``average_clustering`` and ``average_shortest_path``."""
+
+    # t_i of average_clustering, per node
+    triangles: np.ndarray
+    # per block of more than two members, in _blocks' order: every pair of
+    # non-adjacent members shares a neighbour
+    certified: np.ndarray
+    # sum of W_B over the certified blocks (see average_shortest_path)
+    wiener: int
+
+
+def _block_squares(g: Graph) -> _Squares:
+    """Triangle counts and diameter-2 certificates of a connected graph of
+    n >= 2, from one product A_B A_B per larger biconnected block.
+
+    A triangle is 2-connected, so it lies inside one block: t_i sums
+    ((A_B A_B) * A_B) over row i of each block holding i.  The stacks of
+    ``_stacks`` are multiplied in float32, exactly, since every partial
+    sum counts common neighbours and stays below 2**24; the rows are
+    reduced in float64.  A block is certified when every row of
+    A_B A_B + A_B is nonzero in all of the block's columns.  A stack's
+    product goes a slice of about ``_STACK_CELLS`` entries of rows at a
+    time and its edges ``_EDGE_SLICE`` at a time, so a giant block holds
+    its dense adjacency and little else.  The result is kept on the graph.
+    """
+    if g._squares is not None:
+        return g._squares
+    cut = _blocks(g)
+    counts = np.zeros(cut.node.size)
+    certified, wiener = [], 0
+    for rows, t, loc, src, dst, m in _stacks(cut):
+        k = int(t[-1]) + 1
+        adj = np.zeros((k, m, m), dtype=np.float32)
+        flat = adj.reshape(-1)
+        at = (t * m + loc) * m
+        w = cut.weight[rows]
+        # half of w^T A_B w: w_x w_y summed over the block's edges, each once
+        pair = np.zeros(k, dtype=np.int64)
+        for e in range(0, src.size, _EDGE_SLICE):
+            s, d = src[e:e + _EDGE_SLICE], dst[e:e + _EDGE_SLICE]
+            flat[at[s] + loc[d]] = flat[at[d] + loc[s]] = 1.0
+            np.add.at(pair, t[s], w[s] * w[d])
+        tri = np.empty((k, m))
+        cover = np.empty((k, m), dtype=np.int64)
+        step = max(1, _STACK_CELLS // (k * m))
+        for r in range(0, m, step):
+            part = np.s_[:, r:r + step]
+            square = adj[part] @ adj
+            tri[part] = (square * adj[part]).sum(axis=-1, dtype=np.float64)
+            square += adj[part]
+            cover[part] = np.count_nonzero(square, axis=-1)
+        del adj, flat
+        counts[rows] = tri[t, loc]
+        size = np.bincount(t)
+        ok = np.bincount(t, weights=cover[t, loc] < size[t], minlength=k) == 0
+        first = np.flatnonzero(loc == 0)
+        total, total2 = np.add.reduceat(w, first), np.add.reduceat(w * w, first)
+        wiener += 2 * int((total * total - total2 - pair)[ok].sum())
+        certified.append(ok)
+    g._squares = _Squares(np.bincount(cut.node, weights=counts, minlength=g.n),
+                          np.concatenate([np.zeros(0, dtype=bool)] + certified), wiener)
+    return g._squares
+
+
 def average_clustering(g: Graph) -> float:
     """Mean local clustering coefficient; nodes of degree < 2 contribute 0.
 
     t_i = ((A @ A) * A) summed over row i counts twice the edges among the
     neighbours of i.  Up to ``_SMALL_MAX_N`` nodes it comes from the dense
-    adjacency, where scipy's sparse product costs more than the arithmetic;
-    above it from the sparse one, a slice of rows at a time.  The counts are
-    integers, so both give the same float.
+    adjacency, where a call per block costs more than the arithmetic; above
+    it from the dense blocks of ``_block_squares``, which a disconnected
+    graph reaches joined into one.  The counts are integers, so both give
+    the same float.
     """
     if g.n == 0:
         raise ValueError("clustering undefined on the empty graph")
@@ -383,18 +512,14 @@ def average_clustering(g: Graph) -> float:
         a = g.to_dense()
         t = ((a @ a) * a).sum(axis=1)
     else:
-        a = g.to_csr()
-        # A group of s nodes has s**2 paths of length two, so the rows go in
-        # slices whose paths reach about _CLUSTERING_ENTRIES nodes in all; a
-        # row's paths reach at most n
-        cuts = [0, g.n]
-        if g.n * g.n > _CLUSTERING_ENTRIES:
-            reach = np.concatenate(([0.0], np.cumsum(np.minimum(a @ deg, g.n))))
-            cuts = _row_slices(reach, _CLUSTERING_ENTRIES)
-        t = np.empty(g.n)
-        for lo, hi in zip(cuts, cuts[1:]):
-            rows = a if hi - lo == g.n else a[lo:hi]
-            t[lo:hi] = np.asarray((rows @ a).multiply(rows).sum(axis=1)).ravel()
+        try:
+            t = _block_squares(g).triangles
+        except ValueError:  # _blocks refuses a disconnected graph
+            # one more node joined to each component by a bridge adds blocks
+            # of two members alone, which hold no triangle
+            roots = np.unique(csgraph.connected_components(g.to_csr())[1], return_index=True)[1]
+            links = np.column_stack((roots, np.full(roots.size, g.n)))
+            t = _block_squares(Graph(g.n + 1, np.concatenate((g.edges, links)))).triangles[:-1]
     denom = deg * (deg - 1.0)
     coeffs = np.divide(t, denom, out=np.zeros_like(t), where=denom > 0)
     return float(coeffs.mean())
@@ -463,6 +588,16 @@ class GraphDocument:
     @classmethod
     def from_json_text(cls, text: str) -> "GraphDocument":
         payload = json.loads(text)
+        # the shapes the tuples below read; the member types are checked after
+        for name, shape, fits in (
+            ("groups", "a list of lists", lambda x: isinstance(x, list)),
+            ("edges", "a list of [u, v] pairs", lambda x: isinstance(x, list) and len(x) == 2),
+            ("liaisons", "a list", lambda x: True),
+        ):
+            value = payload[name]
+            bad = [x for x in value if not fits(x)] if isinstance(value, list) else [value]
+            if bad:
+                raise ValueError(f"{name} must be {shape}, got {bad[0]!r}")
         groups = tuple(tuple(grp) for grp in payload["groups"])
         liaisons = tuple(payload["liaisons"])
         seed = payload.get("seed")

@@ -220,5 +220,20 @@ def test_metrics_rejects_non_integer_document_fields(tmp_path, capsys, field, va
     assert message in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("groups", 5, "groups must be a list of lists, got 5"),
+    ("edges", [0, 1, 2], "edges must be a list of [u, v] pairs, got 0"),
+])
+def test_metrics_rejects_malformed_document(tmp_path, capsys, field, value, message):
+    doc = {"n": 3, "edges": [[0, 1], [1, 2]], "groups": [[0, 1, 2]], "liaisons": [],
+           "modality": "bridge", "seed": 0, field: value}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert run("metrics", "--in", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and not captured.out
+
+
 def test_help_exits_zero():
     assert run("--help") == 0

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 
 import networkx as nx
@@ -262,8 +263,8 @@ def edge_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(edge_lists())
 def test_graph_matches_networkx(case):
-    # crossover 0: every graph takes the block-cut path of average_shortest_path
-    # and the sparse one of average_clustering; the check compares both
+    # crossover 0: every graph takes the block-cut paths of
+    # average_shortest_path and average_clustering; the check compares both
     # against their dense paths
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphs, "_SMALL_MAX_N", 0)
@@ -273,15 +274,63 @@ def test_graph_matches_networkx(case):
 @settings(max_examples=100, deadline=None)
 @given(edge_lists())
 def test_graph_matches_networkx_in_slices(case):
-    # every edge pass, S build, distance batch and clustering slice cut into
-    # pieces of a few entries, and the CSR built on each call
+    # every edge pass, S build and distance batch cut into pieces of a few
+    # entries, every dense block a stack of its own multiplied a row at a
+    # time, and the CSR built on each call
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphs, "_SMALL_MAX_N", 0)
         mp.setattr(graphs, "_EDGE_SLICE", 5)
         mp.setattr(graphs, "_CSR_CACHE_ENTRIES", 0)
         mp.setattr(graphs, "_ASP_DIST_CELLS", 3)
-        mp.setattr(graphs, "_CLUSTERING_ENTRIES", 7)
+        mp.setattr(graphs, "_STACK_CELLS", 7)
         check_graph_against_networkx(case)
+
+
+@st.composite
+def mixed_block_edge_lists(draw):
+    """(n, pairs) of a connected graph whose blocks are joined in a chain at
+    cut vertices: cliques and wheels (diameter 1 and 2), cycles (diameter 3
+    or more from 6 nodes) and cycles with a clique on half their nodes,
+    each with up to two chords added."""
+    pairs, n = [], 1
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["clique", "wheel", "cycle", "tailed"]))
+        s = draw(st.integers(3, 12))
+        nodes = [n - 1] + list(range(n, n + s - 1))
+        n += s - 1
+        ring = [(nodes[i], nodes[(i + 1) % s]) for i in range(s)]
+        if kind == "clique":
+            block = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+        elif kind == "wheel":
+            block = ring[1:-1] + [(nodes[-1], nodes[1])] + [(nodes[0], v) for v in nodes[1:]]
+        elif kind == "cycle":
+            block = ring
+        else:
+            half = nodes[:max(3, s // 2)]
+            block = ring + [(u, v) for i, u in enumerate(half) for v in half[i + 1:]]
+        # a few chords that keep the block 2-connected
+        block += draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+                               .filter(lambda p: p[0] != p[1]), max_size=2))
+        pairs += block
+    return n, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_block_edge_lists(), st.sampled_from([7, 1 << 18]))
+def test_mixed_blocks_match_networkx(case, cells):
+    # chains of certified and uncertified blocks, each of its own stack or
+    # stacked together
+    n, pairs = case
+    g = Graph(n, pairs)
+    G = nx.Graph(pairs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_SMALL_MAX_N", 0)
+        mp.setattr(graphs, "_STACK_CELLS", cells)
+        cut = graphs._blocks(g)
+        members = np.split(cut.node[2 * cut.pairs:], cut.starts[1:-1])
+        want = [nx.diameter(G.subgraph(b.tolist())) <= 2 for b in members]
+        assert graphs._block_squares(g).certified.tolist() == want
+        check_graph_against_networkx((n, pairs))
 
 
 def check_graph_against_networkx(case):
@@ -401,3 +450,36 @@ def test_block_cut_asp_equals_dijkstra_at_scale(modality):
     g = generate(modality, 2000, seed=11).graph
     assert g.n >= 2000
     assert block_cut_asp(g) == dijkstra_asp(g)
+
+
+@pytest.mark.parametrize("modality", ["bridge", "edge_bundle", "comembership", "liaison"])
+def test_block_clustering_equals_sparse_formula_at_scale(modality):
+    # t_i = ((A @ A) * A) summed over row i, from scipy's sparse product
+    from groupnets.generators import generate
+
+    g = generate(modality, 2000, seed=11).graph
+    a = g.to_csr()
+    t = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel()
+    deg = g.degrees().astype(np.float64)
+    denom = deg * (deg - 1.0)
+    want = float(np.divide(t, denom, out=np.zeros_like(t), where=denom > 0).mean())
+    assert average_clustering(g) == want
+
+
+def test_block_squares_on_a_giant_group_allocate_less_than_three_squares():
+    # a liaison graph whose largest group has s = 1713 of its 2040 nodes:
+    # path length and clustering hold the group's float32 adjacency and
+    # slices of its square, not the square itself
+    from groupnets.generators import generate
+
+    g = generate("liaison", 2000, seed=3696373870846369654).graph
+    s = int(np.diff(graphs._blocks(g).starts).max())
+    assert (g.n, s) == (2040, 1713)
+    tracemalloc.start()
+    try:
+        average_shortest_path(g)
+        average_clustering(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * s * s * 4
