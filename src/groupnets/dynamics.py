@@ -18,7 +18,7 @@ eigenvalue comes from a dense ``eigvalsh``, and above it from ARPACK.  Up
 to ``_DENSE_MAX_N`` nodes ``S`` is built dense and one dense
 eigendecomposition of it gives rho2 and delta_ss.  Above it no dense
 eigensolve runs and no n-by-n array is allocated: rho2 comes from
-shift-invert Lanczos on the sparse ``S``, and delta_ss from effective
+Lanczos on the grounded Laplacian's LU, and delta_ss from effective
 resistances summed over the biconnected blocks (Tetali's hitting-time
 formula), one small Cholesky factorization per block.  The dense
 Kemeny-Snell hitting times (``hitting_times``, ``steady_state_deviation``)
@@ -35,7 +35,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from . import graphs
-from .graphs import _EDGE_SLICE, Graph, _blocks, _one_component, _row_slices, _stacks, is_connected
+from .graphs import Graph, _blocks, _one_component, _stacks, is_connected
 
 __all__ = [
     "ConsensusSystem",
@@ -57,11 +57,11 @@ __all__ = [
 ]
 
 # Largest n at which one dense eigendecomposition of S gives rho2 and
-# delta_ss; above it rho2 comes from shift-invert Lanczos and delta_ss from
-# the block-cut resistance sum, with no dense eigensolve.  Medians on
-# generated graphs, one BLAS thread: for rho2 alone the two tie near
-# n = 200 and Lanczos wins from 300; for both, the dense eigh takes 3.1,
-# 4.6 and 6.9 ms at n = 200, 250 and 300, against 2.4, 2.6 and 2.7 ms.
+# delta_ss; above it they come from the grounded-Laplacian Lanczos run and
+# the block-cut resistance sum.  Medians on generated graphs (4 modalities
+# x 2 seeds, best of 5), one BLAS thread: for rho2 alone the two tie between
+# n = 150 and 200; for both, the dense eigh takes 2.8, 4.4 and 6.7 ms at
+# n = 200, 250 and 300, against 1.9, 2.1 and 2.9 ms.
 _DENSE_MAX_N = 250
 
 
@@ -183,12 +183,12 @@ def spectral_radius(g: Graph) -> float:
 def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float, float | None]:
     """rho2 of a connected graph's averaging matrix and, given noise, delta_ss.
 
-    Builds S = (D+I)^-1/2 (A+I) (D+I)^-1/2, the symmetrized W, from the
-    adjacency; delta_ss is None without ``noise``.
+    Both are read from S = (D+I)^-1/2 (A+I) (D+I)^-1/2, the symmetrized W;
+    delta_ss is None without ``noise``.
 
     Up to ``_DENSE_MAX_N`` nodes S is built dense, from the dense adjacency
-    and the same products 1/sqrt((d_i + 1)(d_j + 1)) as the sparse build,
-    and one dense eigendecomposition of it gives both.  With eigenpairs
+    and the products 1/sqrt((d_i + 1)(d_j + 1)), and one dense
+    eigendecomposition of it gives both.  With eigenpairs
     (lambda_k, u_k) of S, lambda_1 = 1 and u_1 = sqrt(pi), the fundamental
     matrix has Z_jj - pi_j = sum_{k>=2} u_kj^2 / (1 - lambda_k), so
     delta_ss = sum_j pi_j sigma2_j (Z_jj - pi_j) needs no n-by-n Z or H
@@ -197,15 +197,16 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
 
     Above it no dense eigensolve runs and no n-by-n array is allocated.
     delta_ss comes from effective resistances summed over the graph's
-    biconnected blocks (``_resistance_deviation``).  rho2 comes from
-    shift-invert Lanczos about 1 + 1e-3, on the inverse of
-    S - (1 + 1e-3) I from one sparse LU factorization, which gives the two
-    largest eigenvalues, 1 and lambda2, in a few solves even when
-    1 - lambda2 is tiny.  S is shifted in place and dropped once factored,
-    so the graph, S and the LU are the largest arrays held at once.
-    W is lazy: W = a I + (1 - a) W' with a = 1/(d_max + 1) and W'
-    stochastic, so lambda_min >= 2a - 1, and lambda2 >= 1 - 2a certifies
-    rho2 = lambda2; otherwise one more Lanczos run gives lambda_min.
+    biconnected blocks (``_resistance_deviation``).  With h = sqrt(d + 1),
+    I - S = H^-1 L H^-1 for H = diag(h) and L = D - A (Chung, Spectral
+    Graph Theory), so off sqrt(pi) = h / |h| the pseudo-inverse of I - S
+    has top eigenvalue mu = 1 / (1 - lambda2).  Lanczos finds mu in a few
+    solves even when 1 - lambda2 is tiny (Ericsson and Ruhe, Math. Comp.
+    35, 1980), applying it through one sparse LU of the grounded Laplacian
+    M (``_grounded_laplacian``), which is dropped once factored.  W is lazy:
+    W = a I + (1 - a) W' with a = 1/(d_max + 1) and W' stochastic, so
+    lambda_min >= 2a - 1, and lambda2 >= 1 - 2a certifies rho2 = lambda2;
+    otherwise one more Lanczos run gives lambda_min.
     """
     n = g.n
     if n <= _DENSE_MAX_N:
@@ -231,33 +232,40 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
         excess = U[:, :-1] ** 2 @ (1.0 / (1.0 - lam[:-1]))
         pi = d1 / d1.sum()
         return rho2, float(pi * sigma2 @ excess)
-    S, d1, diag = _symmetrized(g)
-    # S has the pattern of A + I, so its components are the graph's
-    if not _one_component(S):
+    M = _grounded_laplacian(g)
+    # M has the pattern of A + I, so its components are the graph's
+    if not _one_component(M):
         raise ValueError("consensus metrics require a connected graph (irreducibility)")
+    d1 = g.degrees() + 1
     sigma2 = None if noise is None else noise.variances(n)
     delta = None if sigma2 is None else _resistance_deviation(g, d1, sigma2)
     # a fixed-seed start: deterministic, and generic with respect to graph
     # symmetries (a structured start can be orthogonal to an eigenvector)
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
-    # the LU of a dense group is as large as the group's part of S, and S
-    # is not needed again unless the certificate fails
-    shift = 1.0 + 1e-3
-    S.data[diag] -= shift
-    # S is symmetric, so its CSR arrays read as CSC are S itself
-    lu = splu(S.T)
-    del S
-    # the eigenvalues of S nearest the shift are those of largest
-    # magnitude of (S - shift I)^-1, 1 / (lambda - shift)
-    inverse = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    # M is symmetric, so its CSR arrays read as CSC are M itself
+    lu = splu(M.T)
+    del M
+    h = np.sqrt(d1)
+    u = h / np.linalg.norm(h)
+
+    def pseudo_inverse(b):
+        # (I - S)^+ b = P (h z), where M z = h (P b) and P projects off u
+        b = b - u * (u @ b)
+        x = h * lu.solve(h * b)
+        return x - u * (u @ x)
+
     try:
-        mu = eigsh(inverse, k=2, v0=v0, return_eigenvectors=False)
-        lam2 = float((shift + 1.0 / mu).min())
+        mu = eigsh(LinearOperator((n, n), matvec=pseudo_inverse, dtype=np.float64),
+                   k=1, which="LA", v0=v0, return_eigenvectors=False)
+        lam2 = 1.0 - 1.0 / float(mu[0])
         if lam2 >= 1.0 - 2.0 / d1.max():
             return lam2, delta
-        del lu, inverse
-        lam_min = eigsh(_symmetrized(g)[0], k=1, which="SA", v0=v0,
-                        return_eigenvectors=False)
+        del lu
+        a = g.to_csr()
+        # S x = H^-1 (A + I) H^-1 x
+        lam_min = eigsh(LinearOperator((n, n), matvec=lambda x: (a @ (x / h) + x / h) / h,
+                                       dtype=np.float64),
+                        k=1, which="SA", v0=v0, return_eigenvectors=False)
     except ArpackError as exc:
         raise ConvergenceError(f"Lanczos iteration failed: {exc}") from exc
     return max(lam2, -float(lam_min[0])), delta
@@ -340,40 +348,22 @@ def _resistance_deviation(g: Graph, d1: np.ndarray, sigma2: np.ndarray) -> float
     return float(0.5 * total * (pi * pi * sigma2 @ (2.0 * r - pi @ r)))
 
 
-def _symmetrized(g: Graph) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """S = (D+I)^-1/2 (A+I) (D+I)^-1/2 in CSR form, the row counts d + 1 of
-    A + I, and the position of each diagonal entry in ``S.data``, for
-    ``consensus_spectrum`` above ``_DENSE_MAX_N`` nodes.
+def _grounded_laplacian(g: Graph) -> sp.csr_matrix:
+    """M = D - A + e0 e0^T in CSR form, each row's diagonal entry first.
 
-    S is built from the adjacency pattern a slice of rows at a time, with no
-    other array as large as S.
+    For c orthogonal to 1, M z = c forces z_0 = 0 and L z = c: M is the
+    Laplacian L grounded at node 0, with no row dropped.
     """
     n = g.n
-    a_indptr, a_indices = g.pattern()
-    deg = np.diff(a_indptr)
-    d1 = deg + 1
-    d = d1.astype(np.float64)
-    indptr = a_indptr + np.arange(n + 1, dtype=np.int32)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    diag = np.empty(n, dtype=np.int64)
-    cuts = _row_slices(a_indptr, _EDGE_SLICE)
-    for lo, hi in zip(cuts, cuts[1:]):
-        p, q = a_indptr[lo], a_indptr[hi]
-        rows = np.repeat(np.arange(lo, hi), deg[lo:hi])
-        cols = a_indices[p:q]
-        above = cols > rows
-        # entry k of A, in row i, moves past the i diagonal entries of the rows
-        # before it, and past its own row's if it lies above the diagonal
-        at = np.arange(p, q) + rows + above
-        indices[at] = cols
-        # the exact integer product d1_i d1_j keeps S exactly symmetric
-        data[at] = d[rows] * d[cols]
-        diag[lo:hi] = indptr[lo + 1:hi + 1] - 1 - np.bincount(rows[above] - lo, minlength=hi - lo)
-    indices[diag] = np.arange(n)
-    data[diag] = d * d
-    np.divide(1.0, np.sqrt(data, out=data), out=data)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n)), d1, diag
+    indptr, indices = g.pattern()
+    rows = indptr + np.arange(n + 1, dtype=np.int32)
+    # indices first, so that np.insert's mask is gone before the values exist;
+    # the values are filled in place, where np.insert would hold two copies
+    diagonal_first = np.insert(indices, indptr[:-1], np.arange(n, dtype=np.int32))
+    data = np.full(rows[-1], -1.0)
+    data[rows[:-1]] = g.degrees()
+    data[0] += 1.0
+    return sp.csr_matrix((data, diagonal_first, rows), shape=(n, n))
 
 
 def convergence_time(rho2: float) -> float:

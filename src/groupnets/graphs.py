@@ -588,6 +588,14 @@ class GraphDocument:
     @classmethod
     def from_json_text(cls, text: str) -> "GraphDocument":
         payload = json.loads(text)
+        if type(payload) is not dict:
+            raise ValueError(f"graph document must be a JSON object, got {payload!r}")
+        missing = [key for key in ("n", "edges", "groups", "liaisons", "modality")
+                   if key not in payload]
+        if missing:
+            raise ValueError(f"graph document is missing required keys: {missing}")
+        if type(payload["modality"]) is not str:
+            raise ValueError(f"modality must be a string, got {payload['modality']!r}")
         # the shapes the tuples below read; the member types are checked after
         for name, shape, fits in (
             ("groups", "a list of lists", lambda x: isinstance(x, list)),
@@ -614,7 +622,7 @@ class GraphDocument:
             edges=edges,
             groups=groups,
             liaisons=liaisons,
-            modality=str(payload["modality"]),
+            modality=payload["modality"],
             seed=seed,
         )
 

@@ -220,13 +220,28 @@ def test_metrics_rejects_non_integer_document_fields(tmp_path, capsys, field, va
     assert message in captured.err and not captured.out
 
 
+MISSING = object()
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("groups", 5, "groups must be a list of lists, got 5"),
     ("edges", [0, 1, 2], "edges must be a list of [u, v] pairs, got 0"),
+    # field None: the value is the whole document
+    (None, [1, 2], "graph document must be a JSON object, got [1, 2]"),
+    ("modality", MISSING, "graph document is missing required keys: ['modality']"),
+    (None, {}, "graph document is missing required keys: "
+               "['n', 'edges', 'groups', 'liaisons', 'modality']"),
+    ("modality", 5, "modality must be a string, got 5"),
 ])
 def test_metrics_rejects_malformed_document(tmp_path, capsys, field, value, message):
     doc = {"n": 3, "edges": [[0, 1], [1, 2]], "groups": [[0, 1, 2]], "liaisons": [],
-           "modality": "bridge", "seed": 0, field: value}
+           "modality": "bridge", "seed": 0}
+    if field is None:
+        doc = value
+    elif value is MISSING:
+        del doc[field]
+    else:
+        doc[field] = value
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
     assert run("metrics", "--in", str(path)) == 2

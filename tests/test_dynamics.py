@@ -77,6 +77,15 @@ def test_consensus_matrix_requires_connected():
         build_consensus_matrix(Graph(4, [(0, 1), (2, 3)]))
 
 
+def test_consensus_spectrum_requires_connected(monkeypatch):
+    # in the sparse regime the grounded Laplacian of a disconnected graph is
+    # singular, so the check must come before its factorization
+    for dense_max_n in (dynamics._DENSE_MAX_N, 0):
+        monkeypatch.setattr(dynamics, "_DENSE_MAX_N", dense_max_n)
+        with pytest.raises(ValueError, match="connected graph"):
+            consensus_spectrum(Graph(4, [(0, 1), (2, 3)]))
+
+
 def test_consensus_system_validation():
     W = np.array([[0.6, 0.3], [0.5, 0.5]])  # rows do not sum to 1
     with pytest.raises(ValueError):
@@ -153,35 +162,27 @@ def test_second_eigenvalue_closed_forms(monkeypatch):
     monkeypatch.setattr(dynamics, "eigsh", recorded)
     monkeypatch.setattr(dynamics, "_DENSE_MAX_N", 0)
     assert consensus_spectrum(PATH3)[0] == pytest.approx(0.5, abs=1e-9)
-    assert calls == ["LM"]
+    assert calls == ["LA"]
     calls.clear()
     assert consensus_spectrum(STAR6)[0] == pytest.approx(0.5, abs=1e-9)
-    assert calls == ["LM", "SA"]
+    assert calls == ["LA", "SA"]
 
 
-def test_symmetrized_matches_scaled_adjacency(monkeypatch):
-    # S = (D+I)^-1/2 (A+I) (D+I)^-1/2, array for array, with the diagonal
-    # positions; built in slices of a few entries as well as whole
+def test_grounded_laplacian_is_laplacian_plus_corner():
+    # M = D - A + e0 e0^T, entry for entry
     rng = np.random.default_rng(4)
     graphs_ = [random_connected(rng, int(rng.integers(2, 40))) for _ in range(30)]
     graphs_.append(generate("comembership", 300, seed=3).graph)
-    for slice_entries in (1 << 16, 5):
-        monkeypatch.setattr(dynamics, "_EDGE_SLICE", slice_entries)
-        for g in graphs_:
-            ref = g.to_csr() + scipy.sparse.identity(g.n, format="csr")
-            d1 = np.diff(ref.indptr)
-            rows = np.repeat(np.arange(g.n), d1)
-            ref.data = 1.0 / np.sqrt(d1[rows] * d1[ref.indices])
-            S, got_d1, diag = dynamics._symmetrized(g)
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(S, name), getattr(ref, name)), name
-            assert np.array_equal(got_d1, d1)
-            assert np.array_equal(diag, np.flatnonzero(ref.indices == rows))
+    for g in graphs_:
+        want = np.diag(g.degrees().astype(np.float64)) - g.to_dense()
+        want[0, 0] += 1.0
+        assert np.array_equal(dynamics._grounded_laplacian(g).toarray(), want)
 
 
 def test_dense_s_matches_sparse_build(monkeypatch):
-    # up to _DENSE_MAX_N, the S handed to the dense eigensolver is the sparse
-    # build's, array for array, with and without noise
+    # up to _DENSE_MAX_N, the S handed to the dense eigensolver is
+    # (D+I)^-1/2 (A+I) (D+I)^-1/2 built sparse, array for array, with and
+    # without noise
     seen = []
 
     def recorded(real):
@@ -197,12 +198,41 @@ def test_dense_s_matches_sparse_build(monkeypatch):
     graphs_ += [generate(m, 200, seed=2).graph for m in MODALITIES]
     for g in graphs_:
         assert g.n <= dynamics._DENSE_MAX_N
+        ref = g.to_csr() + scipy.sparse.identity(g.n, format="csr")
+        d1 = np.diff(ref.indptr)
+        rows = np.repeat(np.arange(g.n), d1)
+        ref.data = 1.0 / np.sqrt(d1[rows] * d1[ref.indices])
+        want = ref.toarray()
         for noise in (None, NoiseModel(1.0)):
             seen.clear()
             consensus_spectrum(g, noise)
             (S,) = seen
-            want = dynamics._symmetrized(g)[0].toarray()
             assert S.dtype == want.dtype and np.array_equal(S, want)
+
+
+@pytest.mark.parametrize("g, solves", [
+    # the star K1,299: lambda2 = 1/2 is below the laziness bound 1 - 2/300,
+    # so lambda_min (-0.4967) takes a second Lanczos run
+    (Graph(300, [(0, v) for v in range(1, 300)]), ["LA", "SA"]),
+    # the path P300: a gap 1 - lambda2 of 3.7e-5
+    (Graph(300, [(v, v + 1) for v in range(299)]), ["LA"]),
+], ids=["star", "path"])
+def test_rho2_above_dense_max_n_matches_dense_oracle(monkeypatch, g, solves):
+    assert g.n > dynamics._DENSE_MAX_N
+    d1 = g.degrees() + 1.0
+    S = (g.to_dense() + np.eye(g.n)) / np.sqrt(np.outer(d1, d1))
+    lam = scipy.linalg.eigvalsh(S)
+    calls = []
+    real = dynamics.eigsh
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs["which"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "eigsh", recorded)
+    got = consensus_spectrum(g)[0]
+    assert got == pytest.approx(max(lam[-2], -lam[0]), rel=1e-9, abs=0.0)
+    assert calls == solves
 
 
 def test_eigen_oracle_small_graphs():
@@ -432,7 +462,7 @@ def test_block_cut_delta_matches_hitting_times(g, data):
     ref = oracle_delta(g, noise)
     got = dynamics._resistance_deviation(g, g.degrees() + 1, noise.variances(g.n))
     assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
-    if g.n > 2:  # shift-invert Lanczos takes two eigenvalues, so k = 2 < n
+    if g.n > 1:  # Lanczos takes one eigenvalue, so k = 1 < n
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "_DENSE_MAX_N", 0)
             assert consensus_spectrum(g, noise)[1] == got
