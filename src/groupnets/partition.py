@@ -11,6 +11,7 @@ sequence of integer sizes summing to ``n`` exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -119,6 +120,12 @@ def fixed_sum_realizations(
         If a nonzero remainder is left but every element already equals
         the support maximum.
     """
+    return _realize(*_cdf(pmf), n, rng)
+
+
+def _cdf(pmf: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sorted support, its cumulative probabilities and its least value of
+    positive mass, for a validated table."""
     if not pmf:
         raise ValueError("empty probability table")
     keys = np.array(sorted(pmf), dtype=np.int64)
@@ -128,14 +135,27 @@ def fixed_sum_realizations(
     total_mass = probs.sum()
     if total_mass <= 0:
         raise ValueError("probability table has no mass")
+    cum = np.cumsum(probs / total_mass)
+    cum[-1] = 1.0
+    return keys, cum, int(keys[probs > 0][0])
+
+
+@functools.lru_cache(maxsize=64)
+def _size_law_cdf(spec: PowerLawSpec) -> tuple[np.ndarray, np.ndarray, int]:
+    """``_cdf`` of the spec's power law, built once per spec and read-only."""
+    keys, cum, positive_min = _cdf(power_law_pmf(spec))
+    keys.flags.writeable = False
+    cum.flags.writeable = False
+    return keys, cum, positive_min
+
+
+def _realize(
+    keys: np.ndarray, cum: np.ndarray, positive_min: int, n: int, rng: np.random.Generator
+) -> SizeSequence:
     x_min = int(keys[0])
     x_max = int(keys[-1])
     if n < x_min:
         raise ValueError(f"n={n} is below the support minimum {x_min}")
-
-    cum = np.cumsum(probs / total_mass)
-    cum[-1] = 1.0
-    positive_min = int(keys[probs > 0][0])
 
     sizes: list[int] = []
     budget = n
@@ -179,4 +199,4 @@ def sample_group_sizes(
         spec = PowerLawSpec(support_max=n)
     if n < spec.support_min:
         raise ValueError(f"n={n} is below the support minimum {spec.support_min}")
-    return fixed_sum_realizations(power_law_pmf(spec), n, rng)
+    return _realize(*_size_law_cdf(spec), n, rng)

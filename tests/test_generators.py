@@ -23,7 +23,7 @@ from groupnets.generators import (
     uniform_spanning_tree,
 )
 from groupnets.graphs import Graph, average_clustering, average_shortest_path, is_connected
-from groupnets.partition import PowerLawSpec, SizeSequence
+from groupnets.partition import PowerLawSpec, SizeSequence, sample_group_sizes
 
 
 def home_group_map(mg):
@@ -127,6 +127,108 @@ def test_er_block_draws_pairs_in_row_major_order(monkeypatch):
     for size, epsilon, seed in ((2, 0.5, 0), (3, 0.3, 1), (9, 0.6, 2), (40, 0.1, 3), (25, 0.8, 4)):
         got = er_block(size, epsilon, np.random.default_rng(seed)).edges
         assert np.array_equal(got, reference(size, epsilon, np.random.default_rng(seed)))
+
+
+def sequential_blocks(sizes, epsilon, rng):
+    """Blocks drawn one after another, each attempt one draw over np.triu_indices.
+
+    Returns the edges of all blocks, on consecutive node ranges, and the
+    attempts each block took.
+    """
+    edges, attempts, offset = [], [], 0
+    for size in sizes:
+        iu, iv = np.triu_indices(size, 1)
+        for attempt in range(1, generators._MAX_BLOCK_ATTEMPTS + 1):
+            keep = rng.random(iu.size) < 1.0 - epsilon
+            block = np.column_stack((iu[keep], iv[keep]))
+            if is_connected(Graph(size, block)):
+                break
+        else:
+            raise GenerationError(f"block of size {size}")
+        edges.append(block + offset)
+        attempts.append(attempt)
+        offset += size
+    return np.concatenate(edges).astype(np.int32), attempts
+
+
+@pytest.mark.parametrize("bounds", [None, (6, 20)])
+@pytest.mark.parametrize("epsilon, spec", [
+    (0.5, PowerLawSpec(support_max=8, exponent=2.0)),
+    (0.6, PowerLawSpec(support_max=8, exponent=2.0)),
+    (0.3, PowerLawSpec(support_max=90, exponent=2.0, support_min=2)),
+    (0.1, PowerLawSpec(support_max=300, exponent=2.0)),
+])
+def test_scaffold_matches_sequential_blocks(monkeypatch, bounds, epsilon, spec):
+    # the windowed draw gives the edges and leaves the stream exactly as
+    # drawing block by block does, also with blocks above the table bound
+    # mixed in, and with windows and tables of a few pairs
+    if bounds is not None:
+        monkeypatch.setattr(generators, "_TABLE_MAX_SIZE", bounds[0])
+        monkeypatch.setattr(generators, "_WINDOW_PAIRS", bounds[1])
+        monkeypatch.setattr(generators, "_PAIR_CHUNK", 7)
+        monkeypatch.setattr(generators, "_UNION_CHUNK", 3)
+    params = ModalityParams(epsilon=epsilon)
+    rejected = 0
+    for seed in range(6):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        seq, groups, edges = generators._scaffold(600, params, rng, spec)
+        ref_seq = sample_group_sizes(600, ref_rng, spec)
+        want, attempts = sequential_blocks(ref_seq.sizes, epsilon, ref_rng)
+        assert seq == ref_seq
+        assert groups == tuple(tuple(range(sum(seq.sizes[:g]), sum(seq.sizes[:g + 1])))
+                               for g in range(len(seq)))
+        assert np.array_equal(generators._concat(edges), want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        rejected += sum(attempts) - len(attempts)
+    assert rejected > 0 or epsilon < 0.5
+    assert not generators._pair_table(5).flags.writeable
+
+
+def test_block_budget_counts_attempts_per_block(monkeypatch):
+    # the budget is per block: a window whose blocks need 3 attempts each at
+    # most, but more than 3 in total, is drawn; a block that needs 4 raises
+    monkeypatch.setattr(generators, "_MAX_BLOCK_ATTEMPTS", 3)
+    sizes, epsilon = (3, 4, 3, 5, 3, 3, 4, 3), 0.5
+    fits = exceeds = None
+    for seed in range(200):
+        try:
+            _, attempts = sequential_blocks(sizes, epsilon, np.random.default_rng(seed))
+        except GenerationError:
+            exceeds = seed if exceeds is None else exceeds
+            continue
+        if fits is None and sum(attempts) - len(sizes) > 3:
+            fits = seed
+    assert fits is not None and exceeds is not None
+
+    rng, ref_rng = np.random.default_rng(fits), np.random.default_rng(fits)
+    got = generators._concat(generators._block_edges(sizes, epsilon, rng))
+    assert np.array_equal(got, sequential_blocks(sizes, epsilon, ref_rng)[0])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    with pytest.raises(GenerationError, match="within 3 attempts"):
+        generators._block_edges(sizes, epsilon, np.random.default_rng(exceeds))
+
+
+def test_certificate_passes_every_connected_three_node_block(monkeypatch):
+    # on three members the certificate is exact, so the union-find sees
+    # only disconnected blocks: the rejected attempts
+    seen = []
+
+    def connected(size, us, vs):
+        seen.append(_connected(size, us, vs))
+        return seen[-1]
+
+    _connected = generators._connected
+    monkeypatch.setattr(generators, "_connected", connected)
+    generators._block_edges([3] * 500, 0.4, np.random.default_rng(3))
+    assert len(seen) > 100 and not any(seen)
+
+
+def test_bundle_slot_draw_skips_the_anchor():
+    # a choice over the slots less the anchor's, as indices shifted past it
+    for slots, anchor, k in ((4, 0, 1), (4, 3, 3), (30, 7, 5), (900, 450, 45)):
+        want = np.random.default_rng(k).choice(np.delete(np.arange(slots), anchor), k, replace=False)
+        idx = np.random.default_rng(k).choice(slots - 1, k, replace=False)
+        assert np.array_equal(idx + (idx >= anchor), want)
 
 
 def test_er_block_validation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from groupnets import partition
 from groupnets.partition import (
     PowerLawSpec,
     SaturationError,
@@ -91,6 +92,21 @@ def test_exact_sum_fuzz():
         assert sum(seq.sizes) == n
         assert min(seq.sizes) >= 3
         assert max(seq.sizes) <= n
+
+
+def test_size_law_table_is_cached_read_only():
+    # one table per spec, shared and read-only; the pmf is a fresh dict each call
+    spec = PowerLawSpec(support_max=500)
+    keys, cum, positive_min = partition._size_law_cdf(spec)
+    assert partition._size_law_cdf(PowerLawSpec(support_max=500))[1] is cum
+    assert not keys.flags.writeable and not cum.flags.writeable
+    assert (keys[0], keys[-1], positive_min, cum[-1]) == (3, 500, 3, 1.0)
+    pmf = power_law_pmf(spec)
+    pmf[3] = 0.0
+    assert power_law_pmf(spec)[3] > 0.0
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    assert sample_group_sizes(500, rng) == fixed_sum_realizations(power_law_pmf(spec), 500, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_determinism():
