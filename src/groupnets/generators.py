@@ -23,6 +23,14 @@ and a rejected block's retry reads the doubles that follow its failed
 attempt, so every edge and the final generator state stay those of the
 block-by-block loop.
 
+The wiring that follows takes the stream of wiring one tree edge, or one
+liaison contact, at a time: every draw is the same call with the same
+arguments in the same order, except that each run of consecutive bounded
+integers (all anchors of a bridge or bundle, the first liaison layer's
+contacts) is one broadcast ``rng.integers(0, bounds)``, which draws one
+32-bit value per bound as the scalar calls do.  The edges are assembled
+once per record, not per tree edge.
+
 Generation is a pure function of ``(modality, n, params, seed)``.
 """
 
@@ -372,10 +380,8 @@ def uniform_spanning_tree(k: int, rng: np.random.Generator) -> GroupTree:
     if k == 2:
         return GroupTree(2, frozenset({(0, 1)}))
     seq = rng.integers(0, k, size=k - 2)
-    degree = np.ones(k, dtype=np.int64)
-    for x in seq:
-        degree[x] += 1
-    leaves = [i for i in range(k) if degree[i] == 1]
+    degree = [d + 1 for d in np.bincount(seq, minlength=k).tolist()]
+    leaves = [i for i, d in enumerate(degree) if d == 1]
     heapq.heapify(leaves)
     edges = []
     for x in seq.tolist():
@@ -414,33 +420,37 @@ def _scaffold(
     return seq, groups, edges
 
 
-def _concat(parts: list) -> np.ndarray:
-    """One int32 ``(m, 2)`` edge array from edge arrays and lists of pairs.
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    """One int32 ``(m, 2)`` edge array from ``(m_i, 2)`` edge arrays.
 
     Empties ``parts``, so that the pieces are freed before the graph is built.
     """
-    arrays = [p if isinstance(p, np.ndarray) else np.asarray(p, dtype=np.int64) for p in parts]
+    out = np.concatenate(parts, dtype=np.int32)
     parts.clear()
-    return np.concatenate([a.reshape(-1, 2) for a in arrays], dtype=np.int32)
+    return out
 
 
-def _draw_anchors(
-    groups: tuple[tuple[int, ...], ...],
-    tree: GroupTree,
-    rng: np.random.Generator,
-) -> dict[tuple[int, int], tuple[int, int]]:
+def _tree_ends(
+    seq: SizeSequence, tree: GroupTree
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group indices, sizes and first nodes of the two ends of every tree
+    edge, as ``(edges, 2)`` int64 arrays in the order of ``sorted_edges``."""
+    sizes = np.array(seq.sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    ends = np.array(tree.sorted_edges(), dtype=np.int64).reshape(-1, 2)
+    return ends, sizes[ends], starts[ends]
+
+
+def _draw_anchors(sizes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One uniformly chosen (member_i, member_j) index pair per tree edge.
 
-    Drawing all anchors before any bundle extras keeps the bridge
-    realization an exact edge-subset of the bundle realization for the
-    same random stream.
+    ``sizes`` holds the ``(s_i, s_j)`` row of every tree edge.  One broadcast
+    draw takes the stream of two scalar ``rng.integers`` calls per edge, row
+    after row.  Drawing all anchors before any bundle extras keeps the bridge
+    realization an exact edge-subset of the bundle realization for the same
+    random stream.
     """
-    anchors = {}
-    for i, j in tree.sorted_edges():
-        ui = int(rng.integers(len(groups[i])))
-        vj = int(rng.integers(len(groups[j])))
-        anchors[(i, j)] = (ui, vj)
-    return anchors
+    return rng.integers(0, sizes.ravel()).reshape(-1, 2)
 
 
 def gen_bridge(
@@ -452,8 +462,8 @@ def gen_bridge(
     """Subgroups joined by exactly one cross edge per spanning-tree edge."""
     seq, groups, edges = _scaffold(n, params, rng, size_spec)
     tree = uniform_spanning_tree(len(seq), rng)
-    anchors = _draw_anchors(groups, tree, rng)
-    edges.append([(groups[i][ui], groups[j][vj]) for (i, j), (ui, vj) in anchors.items()])
+    _, sizes, starts = _tree_ends(seq, tree)
+    edges.append(starts + _draw_anchors(sizes, rng))
     return MultiGroupGraph(
         graph=Graph(n, _concat(edges)),
         groups=groups,
@@ -462,6 +472,19 @@ def gen_bridge(
         liaison_nodes=(),
         modality="bridge",
     )
+
+
+def _slot_edges(
+    starts: np.ndarray, widths: np.ndarray, counts: list[int], slots: np.ndarray
+) -> np.ndarray:
+    """Cross edges of bipartite grid slots, ``counts[e]`` of them on tree edge e.
+
+    Slot f of tree edge e joins member f // widths[e] of its first group,
+    whose first node is ``starts[e, 0]``, to member f % widths[e] of its second.
+    """
+    width = np.repeat(widths, counts)
+    rows = np.repeat(starts[:, 0], counts) + slots // width
+    return np.column_stack((rows, np.repeat(starts[:, 1], counts) + slots % width))
 
 
 def gen_edge_bundle(
@@ -473,16 +496,23 @@ def gen_edge_bundle(
     """Subgroups joined by bundles of >= 2 distinct cross edges per tree edge."""
     seq, groups, edges = _scaffold(n, params, rng, size_spec)
     tree = uniform_spanning_tree(len(seq), rng)
-    anchors = _draw_anchors(groups, tree, rng)
-    for (i, j), (ui, vj) in anchors.items():
-        si, sj = len(groups[i]), len(groups[j])
-        alpha = bundle_edge_count(si, sj, params.bundle_scale)
-        # slot f of the si-by-sj bipartite grid joins members f // sj and f % sj
+    _, sizes, starts = _tree_ends(seq, tree)
+    anchors = _draw_anchors(sizes, rng)
+    edges.append(starts + anchors)  # the bridge's cross edges
+    # each anchor's slot in its si-by-sj grid (see _slot_edges)
+    si, sj = sizes[:, 0], sizes[:, 1]
+    anchor_slots = anchors[:, 0] * sj + anchors[:, 1]
+    counts, extras = [], []
+    for a, b, anchor in zip(si.tolist(), sj.tolist(), anchor_slots.tolist()):
+        count = bundle_edge_count(a, b, params.bundle_scale) - 1
         # the same draw as a choice from the slots without the anchor's
-        anchor = ui * sj + vj
-        idx = rng.choice(si * sj - 1, size=alpha - 1, replace=False)
-        chosen = np.append(anchor, idx + (idx >= anchor))
-        edges.append(np.column_stack((groups[i][0] + chosen // sj, groups[j][0] + chosen % sj)))
+        idx = rng.choice(a * b - 1, size=count, replace=False)
+        idx += idx >= anchor
+        counts.append(count)
+        extras.append(idx)
+    if extras:
+        edges.append(_slot_edges(starts, sj, counts, np.concatenate(extras)))
+        extras.clear()  # the pieces are freed before the graph is built
     return MultiGroupGraph(
         graph=Graph(n, _concat(edges)),
         groups=groups,
@@ -503,21 +533,31 @@ def gen_comembership(
     group is wired to almost all members of the other and joins it."""
     seq, groups, edges = _scaffold(n, params, rng, size_spec)
     tree = uniform_spanning_tree(len(seq), rng)
-    extra: list[tuple[int, int]] = []
-    for i, j in tree.sorted_edges():
-        src, tgt = (i, j) if int(rng.integers(2)) == 0 else (j, i)
-        v = groups[src][int(rng.integers(len(groups[src])))]
-        members = np.arange(groups[tgt][0], groups[tgt][-1] + 1, dtype=np.int64)
+    ends, sizes, starts = _tree_ends(seq, tree)
+    sources, picks, hits = [], [], []
+    for pair in zip(sizes[:, 0].tolist(), sizes[:, 1].tolist()):
+        side = int(rng.integers(2))  # the end the co-member comes from
+        picks.append(int(rng.integers(pair[side])))
+        s_tgt = pair[1 - side]
+        if s_tgt < 3:  # fewer than 3 members never give 3 inclusion edges
+            raise _no_inclusion(s_tgt)
         for _ in range(_MAX_INCLUSION_ATTEMPTS):
-            mask = rng.random(members.shape[0]) < params.comember_inclusion
-            if int(mask.sum()) >= 3:
+            members = (rng.random(s_tgt) < params.comember_inclusion).nonzero()[0]
+            if members.size >= 3:
                 break
         else:
-            raise GenerationError(
-                f"could not draw >= 3 inclusion edges into a group of size {len(members)}"
-            )
-        edges.append(np.column_stack((np.full(int(mask.sum()), v), members[mask])))
-        extra.append((v, tgt))
+            raise _no_inclusion(s_tgt)
+        sources.append(side)
+        hits.append(members)
+    rows = np.arange(len(sources))
+    src = np.array(sources, dtype=np.int64)
+    comembers = starts[rows, src] + picks
+    if hits:
+        counts = [h.size for h in hits]
+        members = np.concatenate(hits)
+        hits.clear()  # the pieces are freed before the graph is built
+        members += np.repeat(starts[rows, 1 - src], counts)
+        edges.append(np.column_stack((np.repeat(comembers, counts), members)))
     return MultiGroupGraph(
         graph=Graph(n, _concat(edges)),
         groups=groups,
@@ -525,8 +565,12 @@ def gen_comembership(
         tree=tree,
         liaison_nodes=(),
         modality="comembership",
-        extra_memberships=tuple(extra),
+        extra_memberships=tuple(zip(comembers.tolist(), ends[rows, 1 - src].tolist())),
     )
+
+
+def _no_inclusion(size: int) -> GenerationError:
+    return GenerationError(f"could not draw >= 3 inclusion edges into a group of size {size}")
 
 
 def _partition_layer(
@@ -555,35 +599,30 @@ def gen_liaison(
     single root remains.
     """
     seq, groups, edges = _scaffold(n, params, rng, size_spec)
-    k = len(seq)
-    liaisons: list[int] = []
-    liaison_edges: list[tuple[int, int]] = []
-    next_node = n
-    layer: list[tuple[str, int]] = [("group", gi) for gi in range(k)]
-    while len(layer) > 1:
-        cells = _partition_layer(params.branching_pmf, len(layer), rng)
-        new_layer: list[tuple[str, int]] = []
-        pos = 0
-        for size in cells:
-            lid = next_node
-            next_node += 1
-            liaisons.append(lid)
-            for kind, ref in layer[pos : pos + size]:
-                if kind == "group":
-                    contact = groups[ref][int(rng.integers(len(groups[ref])))]
-                    liaison_edges.append((lid, contact))
-                else:
-                    liaison_edges.append((lid, ref))
-            pos += size
-            new_layer.append(("liaison", lid))
-        layer = new_layer
-    edges.append(liaison_edges)
+    # liaisons are numbered layer after layer from node n, so the cells of
+    # all layers, in order, give every liaison's adopted count
+    cells: list[int] = []
+    count = len(seq)
+    while count > 1:
+        layer = _partition_layer(params.branching_pmf, count, rng)
+        if not cells:
+            # one uniformly chosen contact per group, drawn after the first layer's cells
+            sizes = np.array(seq.sizes, dtype=np.int64)
+            contacts = np.cumsum(sizes) - sizes + rng.integers(0, sizes)
+        cells += layer
+        count = len(layer)
+    next_node = n + len(cells)
+    if cells:
+        # the first layer adopts the contacts, every later one the liaisons
+        # before it: all but the root
+        adopted = np.concatenate((contacts, np.arange(n, next_node - 1)))
+        edges.append(np.column_stack((np.repeat(np.arange(n, next_node), cells), adopted)))
     return MultiGroupGraph(
         graph=Graph(next_node, _concat(edges)),
         groups=groups,
         group_sizes=seq,
         tree=None,
-        liaison_nodes=tuple(liaisons),
+        liaison_nodes=tuple(range(n, next_node)),
         modality="liaison",
     )
 

@@ -231,6 +231,160 @@ def test_bundle_slot_draw_skips_the_anchor():
         assert np.array_equal(idx + (idx >= anchor), want)
 
 
+def test_broadcast_integers_take_the_stream_of_scalar_draws():
+    # the wiring draws a run of bounded integers as one broadcast call: each
+    # value is one 32-bit draw (none for a bound of 1), as in scalar calls,
+    # so values and generator state, its buffered half-word included, agree
+    # also after an odd count of draws
+    for seed in range(40):
+        highs = np.random.default_rng(seed).integers(1, 2**31, size=seed % 9 + 1)
+        highs[::3] = np.random.default_rng(seed + 1).integers(1, 5)
+        for warm in (0, 1):  # start with and without a buffered half-word
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for g in (rng, ref):
+                g.integers(7, size=warm)
+            got = rng.integers(0, highs)
+            want = [int(ref.integers(h)) for h in highs.tolist()]
+            assert got.tolist() == want
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def reference_tree(k, rng):
+    """The Prufer decoding drawn and decoded with a per-entry degree array."""
+    if k == 1:
+        return GroupTree(1, frozenset())
+    if k == 2:
+        return GroupTree(2, frozenset({(0, 1)}))
+    seq = rng.integers(0, k, size=k - 2)
+    degree = np.ones(k, dtype=np.int64)
+    for x in seq:
+        degree[x] += 1
+    leaves = sorted(i for i in range(k) if degree[i] == 1)
+    edges = []
+    for x in seq.tolist():
+        leaf = leaves.pop(0)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            leaves = sorted(leaves + [x])
+    edges.append(tuple(leaves))
+    return GroupTree(k, frozenset(edges))
+
+
+def reference_wiring(modality, n, params, rng, spec):
+    """The four modalities wired one tree edge or one contact at a time.
+
+    Returns the node count, edges, groups, tree, extra memberships and
+    liaisons.
+    """
+    seq, groups, edges = generators._scaffold(n, params, rng, spec)
+    tree, extra, liaisons, total = None, [], [], n
+    if modality == "liaison":
+        layer = [("group", gi) for gi in range(len(seq))]
+        while len(layer) > 1:
+            cells = generators._partition_layer(params.branching_pmf, len(layer), rng)
+            new_layer, pos = [], 0
+            for size in cells:
+                lid = total
+                total += 1
+                liaisons.append(lid)
+                for kind, ref in layer[pos:pos + size]:
+                    if kind == "group":
+                        edges.append([(lid, groups[ref][int(rng.integers(len(groups[ref])))])])
+                    else:
+                        edges.append([(lid, ref)])
+                pos += size
+                new_layer.append(("liaison", lid))
+            layer = new_layer
+    else:
+        tree = reference_tree(len(seq), rng)
+        anchors = {}
+        if modality != "comembership":
+            for i, j in tree.sorted_edges():
+                anchors[(i, j)] = (int(rng.integers(len(groups[i]))),
+                                   int(rng.integers(len(groups[j]))))
+        for i, j in tree.sorted_edges():
+            si, sj = len(groups[i]), len(groups[j])
+            if modality == "bridge":
+                ui, vj = anchors[(i, j)]
+                edges.append([(groups[i][ui], groups[j][vj])])
+            elif modality == "edge_bundle":
+                ui, vj = anchors[(i, j)]
+                alpha = bundle_edge_count(si, sj, params.bundle_scale)
+                others = np.delete(np.arange(si * sj), ui * sj + vj)
+                idx = rng.choice(si * sj - 1, size=alpha - 1, replace=False)
+                for f in [ui * sj + vj] + others[idx].tolist():
+                    edges.append([(groups[i][f // sj], groups[j][f % sj])])
+            else:
+                src, tgt = (i, j) if int(rng.integers(2)) == 0 else (j, i)
+                v = groups[src][int(rng.integers(len(groups[src])))]
+                for _ in range(generators._MAX_INCLUSION_ATTEMPTS):
+                    mask = rng.random(len(groups[tgt])) < params.comember_inclusion
+                    if int(mask.sum()) >= 3:
+                        break
+                else:
+                    raise GenerationError(f"group of size {len(groups[tgt])}")
+                edges.append([(v, u) for u in np.array(groups[tgt])[mask].tolist()])
+                extra.append((v, tgt))
+    edges = np.concatenate([np.asarray(e, dtype=np.int64).reshape(-1, 2) for e in edges])
+    return total, edges, groups, tree, tuple(extra), tuple(liaisons)
+
+
+WIRING_CASES = {
+    "epsilon 0.1": (ModalityParams(epsilon=0.1), None, (3, 10, 57, 300, 2000)),
+    "epsilon 0.5": (ModalityParams(epsilon=0.5), None, (3, 10, 57, 300, 2000)),
+    "inclusion 0.35": (ModalityParams(comember_inclusion=0.35), None, (10, 57, 300)),
+    "bundle of 2": (ModalityParams(bundle_scale=1e-6), None, (10, 57, 300, 2000)),
+    "bundle of every slot": (ModalityParams(bundle_scale=1e6), None, (10, 57, 300)),
+    "groups of 2": (ModalityParams(), PowerLawSpec(support_max=30, support_min=2), (10, 57, 300)),
+}
+
+
+@pytest.mark.parametrize("modality, case", [
+    (modality, case) for modality in MODALITIES for case in sorted(WIRING_CASES)
+    # a co-member target of 2 members cannot be wired
+    if not (modality == "comembership" and WIRING_CASES[case][1] is not None)
+])
+def test_wiring_matches_per_edge_reference(modality, case):
+    # the batched wiring gives every edge, group, tree, extra membership and
+    # liaison of the per-edge loops, and leaves the stream where they leave it
+    params, spec, sizes = WIRING_CASES[case]
+    for n in sizes:
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            mg = GENERATORS[modality](n, params, rng, size_spec=spec)
+            total, edges, groups, tree, extra, liaisons = reference_wiring(
+                modality, n, params, ref_rng, spec)
+            assert np.array_equal(mg.graph.edges, Graph(total, edges).edges)
+            assert mg.graph.n == total
+            assert mg.groups == groups
+            assert mg.tree == tree
+            assert mg.extra_memberships == extra
+            assert mg.liaison_nodes == liaisons
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_comembership_refuses_a_small_target_before_drawing():
+    # a target of 2 members never gives 3 inclusion edges: the generator
+    # raises before drawing any inclusion mask for it
+    class Counting:
+        def __init__(self, rng):
+            self.rng, self.doubles = rng, 0
+
+        def random(self, size=None):
+            self.doubles += 1 if size is None else int(size)
+            return self.rng.random(size)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    rng = Counting(np.random.default_rng(1))
+    spec = PowerLawSpec(support_min=2, support_max=2)
+    with pytest.raises(GenerationError, match=r"into a group of size 2$"):
+        gen_comembership(20, ModalityParams(), rng, spec)
+    assert rng.doubles < 100  # the blocks' pairs and their retries alone
+
+
 def test_er_block_validation():
     with pytest.raises(ValueError):
         er_block(0, 0.1, np.random.default_rng(0))
