@@ -15,8 +15,9 @@ fixed cost of a sparse solver call exceeds the arithmetic and LAPACK
 works on n-by-n arrays.  Up to ``graphs._SMALL_MAX_N`` nodes, the size up
 to which the structural metrics also use dense arrays, the dominant
 eigenvalue comes from a dense ``eigvalsh``, and above it from ARPACK.  Up
-to ``_DENSE_MAX_N`` nodes ``S`` is built dense and one dense
-eigendecomposition of it gives rho2 and delta_ss.  Above it no dense
+to ``_DENSE_MAX_N`` nodes ``S`` is built dense: rho2 comes from its
+eigenvalues alone, and delta_ss from the diagonal of the Kemeny-Snell
+fundamental matrix through one Cholesky factorization.  Above it no dense
 eigensolve runs and no n-by-n array is allocated: rho2 comes from
 Lanczos on the grounded Laplacian's LU, and delta_ss from effective
 resistances summed over the biconnected blocks (Tetali's hitting-time
@@ -56,13 +57,13 @@ __all__ = [
     "simulate_hitting_time",
 ]
 
-# Largest n at which one dense eigendecomposition of S gives rho2 and
-# delta_ss; above it they come from the grounded-Laplacian Lanczos run and
-# the block-cut resistance sum.  Medians on generated graphs (4 modalities
-# x 2 seeds, best of 5), one BLAS thread: for rho2 alone the two tie between
-# n = 150 and 200; for both, the dense eigh takes 2.8, 4.4 and 6.7 ms at
-# n = 200, 250 and 300, against 1.9, 2.1 and 2.9 ms.
-_DENSE_MAX_N = 250
+# Largest n at which dense S gives rho2 (eigvalsh) and delta_ss (Cholesky);
+# above it the grounded-Laplacian Lanczos run and block-cut resistance sum do.
+# Median ms of a ``measure`` call, dense/sparse, on generated graphs of about
+# n nodes (4 modalities x 10 seeds x 3 rounds, one BLAS thread): with delta_ss
+# 3.28/3.38, 3.60/3.59 and 3.79/3.54 at n = 160, 170 and 180; without it
+# 2.71/2.83, 3.02/2.99 and 3.15/2.97.
+_DENSE_MAX_N = 170
 
 
 class ConvergenceError(RuntimeError):
@@ -112,7 +113,6 @@ class ConsensusSystem:
 
 @dataclass(frozen=True)
 class MarkovReport:
-    Z: np.ndarray
     H: np.ndarray
 
 
@@ -187,13 +187,14 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
     delta_ss is None without ``noise``.
 
     Up to ``_DENSE_MAX_N`` nodes S is built dense, from the dense adjacency
-    and the products 1/sqrt((d_i + 1)(d_j + 1)), and one dense
-    eigendecomposition of it gives both.  With eigenpairs
-    (lambda_k, u_k) of S, lambda_1 = 1 and u_1 = sqrt(pi), the fundamental
-    matrix has Z_jj - pi_j = sum_{k>=2} u_kj^2 / (1 - lambda_k), so
-    delta_ss = sum_j pi_j sigma2_j (Z_jj - pi_j) needs no n-by-n Z or H
-    (Levin, Peres and Wilmer, Markov Chains and Mixing Times, spectral
-    representation of reversible chains).
+    and the products 1/sqrt((d_i + 1)(d_j + 1)).  rho2 comes from its
+    eigenvalues alone (``eigvalsh``), so it is the same whether or not
+    noise is given.  delta_ss = sum_j pi_j sigma2_j (Z_jj - pi_j), where
+    Z = (I - S + sqrt(pi) sqrt(pi)^T)^-1 is the fundamental matrix in
+    symmetric form (Kemeny and Snell, Finite Markov Chains, 1960).  Z is
+    positive definite: with F the lower Cholesky factor of Z^-1,
+    Z = F^-T F^-1, so Z_jj = sum_i (F^-1)_ij^2 from LAPACK's triangular
+    inverse (``dtrtri``), and neither Z nor H is formed.
 
     Above it no dense eigensolve runs and no n-by-n array is allocated.
     delta_ss comes from effective resistances summed over the graph's
@@ -218,20 +219,21 @@ def consensus_spectrum(g: Graph, noise: NoiseModel | None = None) -> tuple[float
         S = g.to_dense()
         np.fill_diagonal(S, 1.0)
         S *= 1.0 / np.sqrt(np.outer(d1, d1))
+        pi = d1 / d1.sum()
         try:
-            if sigma2 is None:
-                lam = scipy.linalg.eigvalsh(S, driver="evd")
-            else:
-                lam, U = scipy.linalg.eigh(S, driver="evd")
+            lam = scipy.linalg.eigvalsh(S, driver="evd")
+            if sigma2 is not None:
+                # Z^-1 = I - S + sqrt(pi) sqrt(pi)^T = F F^T; F's diagonal is positive
+                F = scipy.linalg.cholesky(np.eye(n) - S + np.sqrt(np.outer(pi, pi)), lower=True)
+                finv = scipy.linalg.lapack.dtrtri(F, lower=1)[0]
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"dense eigendecomposition failed: {exc}") from exc
+            raise ConvergenceError(f"dense eigensolve failed: {exc}") from exc
         # the ascending spectrum ends with the Perron eigenvalue 1
         rho2 = float(max(lam[-2], -lam[0])) if n > 1 else 0.0
         if sigma2 is None:
             return rho2, None
-        excess = U[:, :-1] ** 2 @ (1.0 / (1.0 - lam[:-1]))
-        pi = d1 / d1.sum()
-        return rho2, float(pi * sigma2 @ excess)
+        # Z = F^-T F^-1; cholesky zeroes F's upper triangle, and dtrtri keeps it
+        return rho2, float(pi * sigma2 @ (np.square(finv).sum(axis=0) - pi))
     M = _grounded_laplacian(g)
     # M has the pattern of A + I, so its components are the graph's
     if not _one_component(M):
@@ -404,7 +406,7 @@ def hitting_times(sys: ConsensusSystem) -> MarkovReport:
         raise ConditioningError(f"fundamental matrix solve failed: {exc}") from exc
     H = (np.diag(Z)[None, :] - Z) / sys.pi[None, :]
     np.fill_diagonal(H, 0.0)
-    return MarkovReport(Z=Z, H=H)
+    return MarkovReport(H=H)
 
 
 def steady_state_deviation(

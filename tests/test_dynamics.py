@@ -184,18 +184,16 @@ def test_dense_s_matches_sparse_build(monkeypatch):
     # (D+I)^-1/2 (A+I) (D+I)^-1/2 built sparse, array for array, with and
     # without noise
     seen = []
+    real = scipy.linalg.eigvalsh
 
-    def recorded(real):
-        def call(a, *args, **kwargs):
-            seen.append(a.copy())
-            return real(a, *args, **kwargs)
-        return call
+    def recorded(a, *args, **kwargs):
+        seen.append(a.copy())
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", recorded(scipy.linalg.eigvalsh))
-    monkeypatch.setattr(scipy.linalg, "eigh", recorded(scipy.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", recorded)
     rng = np.random.default_rng(6)
     graphs_ = [random_connected(rng, int(rng.integers(1, 40))) for _ in range(20)]
-    graphs_ += [generate(m, 200, seed=2).graph for m in MODALITIES]
+    graphs_ += [generate(m, 130, seed=2).graph for m in MODALITIES]
     for g in graphs_:
         assert g.n <= dynamics._DENSE_MAX_N
         ref = g.to_csr() + scipy.sparse.identity(g.n, format="csr")
@@ -208,6 +206,16 @@ def test_dense_s_matches_sparse_build(monkeypatch):
             consensus_spectrum(g, noise)
             (S,) = seen
             assert S.dtype == want.dtype and np.array_equal(S, want)
+
+
+def test_dense_rho2_does_not_depend_on_noise():
+    # rho2 comes from the same eigvalsh call whether or not delta_ss is asked for
+    for n in (10, 50, 100, 130):
+        for m in MODALITIES:
+            for seed in range(5):
+                g = generate(m, n, seed=seed).graph
+                assert g.n <= dynamics._DENSE_MAX_N
+                assert consensus_spectrum(g)[0] == consensus_spectrum(g, NoiseModel(1.0))[0]
 
 
 @pytest.mark.parametrize("g, solves", [

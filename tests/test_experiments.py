@@ -262,7 +262,8 @@ def test_eigensolver_failure_gives_bare_record(monkeypatch):
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("injected")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    # delta_ss is on, so the dense regime factors Z^-1
+    monkeypatch.setattr(scipy.linalg, "cholesky", failing)
     cfg = SweepConfig(sizes=(20,), replications=2, modalities=("bridge",))
     record = compute_record("bridge", 20, 0, cfg)
     assert record.n_actual is None
